@@ -15,7 +15,7 @@ from typing import Dict, Optional
 
 from repro.aig.aig import AIG, AigLiteral, NODE_AND, lit_is_complemented, lit_var
 from repro.errors import AigError
-from repro.sat.cnf import CNF
+from repro.sat.cnf import CNF, check_literal
 
 
 @dataclass
@@ -59,7 +59,10 @@ def cone_to_cnf(
     mapping = CnfMapping(output_literal=0)
     mapping.input_vars = dict(input_vars) if input_vars else {}
     node_lits: Dict[int, int] = {}
+    clauses = cnf.clauses
 
+    # Every clause literal is a fresh variable or an input variable checked
+    # when its node is visited, so clauses are appended unvalidated.
     for index in aig.cone_nodes([root]):
         node = aig.node(index)
         if node.kind == NODE_AND:
@@ -68,13 +71,15 @@ def cone_to_cnf(
             out = cnf.new_var()
             mapping.node_vars[index] = out
             node_lits[index] = out
-            cnf.add_clause((-out, a))
-            cnf.add_clause((-out, b))
-            cnf.add_clause((out, -a, -b))
+            clauses.append((-out, a))
+            clauses.append((-out, b))
+            clauses.append((out, -a, -b))
+        elif index in mapping.input_vars:
+            var = check_literal(mapping.input_vars[index])
+            cnf.num_vars = max(cnf.num_vars, abs(var))
+            node_lits[index] = var
         else:
-            if index not in mapping.input_vars:
-                mapping.input_vars[index] = cnf.new_var()
-            node_lits[index] = mapping.input_vars[index]
+            node_lits[index] = mapping.input_vars[index] = cnf.new_var()
 
     if lit_var(root) == 0:
         # Constant root: introduce a variable fixed to the constant so callers

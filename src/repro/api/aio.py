@@ -70,6 +70,11 @@ class AsyncRequestHandle:
         # created after submission (jobs can finish fast).
         self._event_log: List[Dict[str, object]] = []
         self._report_future: asyncio.Future = session._loop.create_future()
+        # Set on the loop when the terminal transition is dispatched.  The
+        # scheduler queues every record callback before that transition,
+        # so unlike the thread-side ``ticket.terminal`` it also means
+        # "all records have landed".
+        self._settled = False
 
     @property
     def id(self) -> int:
@@ -133,9 +138,11 @@ class AsyncRequestHandle:
                 yield event
                 if _terminal(event):
                     return
-            if self.ticket.terminal and not any(map(_terminal, backlog)):
-                # Terminal before any listener could log it (e.g. the
-                # session closed): synthesise the final transition.
+            if self.ticket.terminal and self._session.handle(self.id) is None:
+                # Forgotten by the session, so no dispatch will ever log
+                # the terminal transition: synthesise it.  A registered
+                # handle waits for that dispatch, which lands after every
+                # record callback.
                 yield {"type": "state", "id": self.id, "state": self.ticket.state}
                 return
             while True:
@@ -380,8 +387,7 @@ class AsyncSession:
                         yield records[delivered[handle.id]]
                         delivered[handle.id] += 1
                 if all(
-                    handle.ticket.terminal
-                    and delivered[handle.id] >= len(handle._records)
+                    handle._settled and delivered[handle.id] >= len(handle._records)
                     for handle in handles
                 ):
                     return
@@ -422,6 +428,7 @@ class AsyncSession:
         if handle is None:
             return
         if state in TERMINAL_STATES:
+            handle._settled = True
             handle._resolve()
         handle._publish({"type": "state", "id": handle.id, "state": state})
         self._wake_all()

@@ -178,22 +178,22 @@ class RelaxationChecker:
             return CheckOutcome(
                 decomposable=True, needed_alpha=needed_alpha, needed_beta=needed_beta
             )
-        model = result.model
+        values = result.values
         diff_a: Set[str] = set()
         diff_b: Set[str] = set()
         for name in self.variables:
-            base = model.get(self._x0[name], False)
-            if model.get(self._x1[name], False) != base:
+            base = values[self._x0[name]]
+            if values[self._x1[name]] != base:
                 diff_a.add(name)
-            if model.get(self._x2[name], False) != base:
+            if values[self._x2[name]] != base:
                 diff_b.add(name)
-            if self.operator == XOR and self._x3:
-                third = model.get(self._x3[name], False)
-                if third != model.get(self._x2[name], False):
+            if self._x3:
+                third = values[self._x3[name]]
+                if third != values[self._x2[name]]:
                     diff_a.add(name)
-                if third != model.get(self._x1[name], False):
+                if third != values[self._x1[name]]:
                     diff_b.add(name)
-        witness = {name: model.get(self._x0[name], False) for name in self.variables}
+        witness = {name: values[self._x0[name]] == 1 for name in self.variables}
         return CheckOutcome(
             decomposable=False,
             witness_diff_a=diff_a,

@@ -120,10 +120,11 @@ class QbfPartitionSolver:
         controls = ControlVariables.allocate(cnf, self.variables)
         add_nontrivial_constraint(cnf, controls)
         add_target_constraint(cnf, controls, self.target, bound)
+        cnf.clauses.extend(
+            self._clause_literals(clause, controls) for clause in self._blocking
+        )
         candidate_solver = Solver()
         candidate_solver.add_cnf(cnf)
-        for clause in self._blocking:
-            candidate_solver.add_clause(self._clause_literals(clause, controls))
 
         result = BoundQueryResult(status=None)
         self.stats.qbf_calls += 1
@@ -142,14 +143,9 @@ class QbfPartitionSolver:
             if candidate_answer.status is False:
                 result.status = False
                 return result
-            alpha = {
-                name: candidate_answer.model.get(controls.alpha[name], False)
-                for name in self.variables
-            }
-            beta = {
-                name: candidate_answer.model.get(controls.beta[name], False)
-                for name in self.variables
-            }
+            values = candidate_answer.values
+            alpha = {name: values[controls.alpha[name]] == 1 for name in self.variables}
+            beta = {name: values[controls.beta[name]] == 1 for name in self.variables}
             self.stats.sat_calls += 1
             outcome = self.checker.check_alpha_beta(alpha, beta, deadline=deadline)
             if outcome.decomposable is None:
@@ -177,12 +173,11 @@ class QbfPartitionSolver:
     @staticmethod
     def _clause_literals(
         clause: Sequence[Tuple[str, str]], controls: ControlVariables
-    ) -> List[int]:
-        literals = []
-        for name, side in clause:
-            var = controls.alpha[name] if side == "a" else controls.beta[name]
-            literals.append(-var)
-        return literals
+    ) -> Tuple[int, ...]:
+        return tuple(
+            -(controls.alpha[name] if side == "a" else controls.beta[name])
+            for name, side in clause
+        )
 
 
 class GenericQbfPartitionSolver:

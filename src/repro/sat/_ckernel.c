@@ -20,10 +20,16 @@
  *  3. Budget, deadline and restart checks sit at the same program points,
  *     so an interrupted search stops after the same conflict.
  *
- * The wrapper does literal validation / dedup / tautology dropping in
- * Python (error behaviour stays byte-identical to the reference) and hands
- * this module pre-cleaned internal literals.  Proof logging never reaches
- * this module: the factory routes proof-logging solvers to pure Python.
+ * The Python boundary is coarse: one add_clauses call ingests a whole CNF
+ * (literal validation, tautology and duplicate elimination, num_vars growth
+ * and the level-0 tail of PySolver.add_clause all happen here, with the
+ * reference's exception types and messages), and one solve call takes
+ * DIMACS assumptions and returns the model as bytes indexed by variable.
+ * A real repro.utils.timer.Deadline is read once per solve and then checked
+ * against CLOCK_MONOTONIC, the clock behind time.perf_counter; any other
+ * deadline object keeps the per-check `.expired` read.  Proof logging never
+ * reaches this module: the factory routes proof-logging solvers to pure
+ * Python.
  *
  * NOTE: this file is a C source, outside `step lint` scope (the analyzer
  * covers Python only; see docs/analysis.md).  Determinism is enforced by
@@ -32,10 +38,15 @@
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#include <structmember.h>
 
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
+#include <time.h>
+#ifdef __linux__
+#include <sys/mman.h>
+#endif
 
 #define VAL_TRUE 1
 #define VAL_FALSE 0
@@ -43,6 +54,15 @@
 
 #define GLUE_LBD 2
 #define REDUCE_BASE 4000
+
+/* Largest variable index: keeps 2*var+1 and the doubled capacities in
+ * int32 range. */
+#define MAX_VAR (1 << 29)
+
+/* repro.errors.SolverError and repro.utils.timer.Deadline, imported once
+ * at module initialisation. */
+static PyObject *SolverError = NULL;
+static PyObject *DeadlineType = NULL;
 
 /* ------------------------------------------------------------- clauses */
 
@@ -97,10 +117,13 @@ typedef struct {
     Py_ssize_t size, cap;
 } IntVec;
 
+/* Packed to 12 bytes: the heap is the kernel's largest structure. */
+#pragma pack(push, 4)
 typedef struct {
     double key;
     int32_t var;
 } HeapItem;
+#pragma pack(pop)
 
 static int
 clausevec_push(ClauseVec *v, Clause *c)
@@ -163,7 +186,8 @@ typedef struct {
     double *activity;
     int32_t *lbd_mark;   /* per-level stamp used to count distinct levels */
     int32_t *visit_mark; /* per-var stamp used by analyze_final */
-    int8_t *assume_mark; /* per-ilit flag used by analyze_final */
+    int8_t *assume_mark; /* per-ilit flags used by analyze_final */
+    int32_t *lit_mark;   /* per-ilit stamp used by clause ingest */
     int32_t stamp;
 
     ClauseVec *watches; /* per-ilit long-clause watcher lists */
@@ -185,10 +209,12 @@ typedef struct {
     ClauseVec learnts;
 
     IntVec learned_buf; /* scratch for analyze */
+    IntVec clause_buf;  /* scratch for clause ingest */
 
     int ok;
     int64_t reduce_base;
     int64_t conflicts, decisions, propagations;
+    int64_t next_cid;
 } CSolver;
 
 /* --------------------------------------------------- small inline helpers */
@@ -256,17 +282,69 @@ heap_lt(HeapItem a, HeapItem b)
     return 0;
 }
 
+/* The heap keeps every stale entry, like the Python heapq it transcribes,
+ * so a long-lived incremental solver's heap can reach tens of MiB.  On
+ * Linux, arrays of HEAP_MAP_BYTES and more get a mapping of their own and
+ * grow by mremap: a realloc inside the malloc arena would copy the array
+ * and keep the old copy resident, and glibc places large blocks there once
+ * its dynamic mmap threshold has risen. */
+#if defined(__linux__) && defined(MREMAP_MAYMOVE)
+#define HEAP_MAP_BYTES ((size_t)1 << 20)
+#endif
+
+static int
+heap_grow(CSolver *s)
+{
+    Py_ssize_t cap = s->heap_cap ? s->heap_cap * 2 : 64;
+    size_t new_bytes = (size_t)cap * sizeof(HeapItem);
+    void *data;
+#ifdef HEAP_MAP_BYTES
+    size_t old_bytes = (size_t)s->heap_cap * sizeof(HeapItem);
+    if (new_bytes >= HEAP_MAP_BYTES) {
+        if (old_bytes >= HEAP_MAP_BYTES) {
+            data = mremap(s->heap, old_bytes, new_bytes, MREMAP_MAYMOVE);
+        }
+        else {
+            data = mmap(NULL, new_bytes, PROT_READ | PROT_WRITE,
+                        MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+            if (data != MAP_FAILED) {
+                memcpy(data, s->heap, old_bytes);
+                free(s->heap);
+            }
+        }
+        if (data == MAP_FAILED)
+            return -1;
+    }
+    else
+#endif
+    {
+        data = realloc(s->heap, new_bytes);
+        if (data == NULL)
+            return -1;
+    }
+    s->heap = (HeapItem *)data;
+    s->heap_cap = cap;
+    return 0;
+}
+
+static void
+heap_free(CSolver *s)
+{
+#ifdef HEAP_MAP_BYTES
+    size_t bytes = (size_t)s->heap_cap * sizeof(HeapItem);
+    if (bytes >= HEAP_MAP_BYTES) {
+        munmap(s->heap, bytes);
+        return;
+    }
+#endif
+    free(s->heap);
+}
+
 static int
 heap_push(CSolver *s, double key, int32_t var)
 {
-    if (s->heap_size == s->heap_cap) {
-        Py_ssize_t cap = s->heap_cap ? s->heap_cap * 2 : 64;
-        HeapItem *data = (HeapItem *)realloc(s->heap, (size_t)cap * sizeof(HeapItem));
-        if (data == NULL)
-            return -1;
-        s->heap = data;
-        s->heap_cap = cap;
-    }
+    if (s->heap_size == s->heap_cap && heap_grow(s) < 0)
+        return -1;
     /* heapq.heappush: append + _siftdown(heap, 0, len-1) */
     Py_ssize_t pos = s->heap_size++;
     HeapItem newitem;
@@ -351,6 +429,7 @@ cs_ensure_vars(CSolver *s, int32_t want)
         GROW(lbd_mark, int32_t, nvars);
         GROW(visit_mark, int32_t, nvars);
         GROW(assume_mark, int8_t, nlits);
+        GROW(lit_mark, int32_t, nlits);
         GROW(watches, ClauseVec, nlits);
         GROW(bin_watches, BinVec, nlits);
 #undef GROW
@@ -366,6 +445,7 @@ cs_ensure_vars(CSolver *s, int32_t want)
         memset(s->lbd_mark + old_vars, 0, (nvars - old_vars) * sizeof(int32_t));
         memset(s->visit_mark + old_vars, 0, (nvars - old_vars) * sizeof(int32_t));
         memset(s->assume_mark + old_lits, 0, (nlits - old_lits) * sizeof(int8_t));
+        memset(s->lit_mark + old_lits, 0, (nlits - old_lits) * sizeof(int32_t));
         memset(s->watches + old_lits, 0, (nlits - old_lits) * sizeof(ClauseVec));
         memset(s->bin_watches + old_lits, 0, (nlits - old_lits) * sizeof(BinVec));
         s->cap_vars = cap;
@@ -784,14 +864,16 @@ static int
 cs_analyze_final(CSolver *s, int32_t failed, const int32_t *assumptions,
                  Py_ssize_t n_assumptions, IntVec *core)
 {
-    /* Failed-assumption core: external literals, pre-dedup (the Python
-     * wrapper applies the order-preserving dict.fromkeys dedup). */
+    /* Failed-assumption core as external literals, deduplicated in order
+     * (PySolver applies dict.fromkeys): assume_mark bit 1 flags the
+     * assumptions, bit 2 the literals already in the core. */
     for (Py_ssize_t k = 0; k < n_assumptions; k++)
         s->assume_mark[assumptions[k]] = 1;
     int rc = 0;
     IntVec stack = {NULL, 0, 0};
     int32_t var = failed >> 1;
     int32_t ext = (failed & 1) ? -var : var;
+    s->assume_mark[failed] |= 2;
     if (intvec_push(core, ext) < 0 || intvec_push(&stack, failed ^ 1) < 0)
         rc = -1;
     s->stamp++;
@@ -807,7 +889,8 @@ cs_analyze_final(CSolver *s, int32_t failed, const int32_t *assumptions,
         int8_t a = s->assigns[var];
         int32_t true_lit = (a >= 0 && (a ^ (lit & 1)) == VAL_TRUE) ? lit : (lit ^ 1);
         if (reason == NULL) {
-            if (s->assume_mark[true_lit]) {
+            if (s->assume_mark[true_lit] == 1) {
+                s->assume_mark[true_lit] |= 2;
                 var = true_lit >> 1;
                 ext = (true_lit & 1) ? -var : var;
                 if (intvec_push(core, ext) < 0)
@@ -831,15 +914,99 @@ cs_analyze_final(CSolver *s, int32_t failed, const int32_t *assumptions,
     return rc;
 }
 
-/* Deadline handling: calls the Python Deadline.expired property at the
- * same program points as the pure solver.  Returns 1 expired, 0 live,
- * -1 on a raised exception. */
-static int
-check_deadline(PyObject *deadline)
+/* --------------------------------------------------------------- deadlines
+ *
+ * The pure solver reads Deadline.expired at fixed program points.  For a
+ * real repro.utils.timer.Deadline that property is
+ * `(time.perf_counter() - _start) >= budget`, so the kernel reads budget
+ * and _start once per solve and evaluates the same comparison in C.
+ * perf_counter_seconds() reproduces time.perf_counter() on Linux bit for
+ * bit: CLOCK_MONOTONIC as integer nanoseconds, then CPython's
+ * _PyTime_AsSecondsDouble conversion.  Any other object (a subclass, a
+ * test double), and every deadline on platforms where perf_counter reads
+ * another clock, keeps the per-point `.expired` read.
+ */
+
+#ifdef __linux__
+#define KERNEL_CLOCK
+#endif
+
+enum { DEADLINE_NONE, DEADLINE_CLOCK, DEADLINE_OBJECT };
+
+typedef struct {
+    int mode;
+    double start, budget;
+    PyObject *obj; /* borrowed; DEADLINE_OBJECT only */
+} DeadlineCheck;
+
+#ifdef KERNEL_CLOCK
+static double
+perf_counter_seconds(void)
 {
+    struct timespec ts;
+    clock_gettime(CLOCK_MONOTONIC, &ts);
+    int64_t ns = (int64_t)ts.tv_sec * 1000000000 + (int64_t)ts.tv_nsec;
+    volatile double d; /* same rounding as CPython's conversion */
+    if (ns % 1000000000 == 0) {
+        d = (double)(ns / 1000000000);
+    }
+    else {
+        d = (double)ns;
+        d /= 1e9;
+    }
+    return d;
+}
+
+static int
+read_double_attr(PyObject *obj, const char *name, double *out)
+{
+    PyObject *value = PyObject_GetAttrString(obj, name);
+    if (value == NULL)
+        return -1;
+    *out = PyFloat_AsDouble(value);
+    Py_DECREF(value);
+    return (*out == -1.0 && PyErr_Occurred()) ? -1 : 0;
+}
+#endif
+
+static int
+deadline_init(DeadlineCheck *d, PyObject *deadline)
+{
+    d->mode = DEADLINE_NONE;
+    d->obj = deadline;
     if (deadline == Py_None)
         return 0;
-    PyObject *flag = PyObject_GetAttrString(deadline, "expired");
+    d->mode = DEADLINE_OBJECT;
+#ifdef KERNEL_CLOCK
+    if ((PyObject *)Py_TYPE(deadline) != DeadlineType)
+        return 0;
+    d->mode = DEADLINE_NONE;
+    PyObject *budget = PyObject_GetAttrString(deadline, "budget");
+    if (budget == NULL)
+        return -1;
+    int unlimited = budget == Py_None;
+    Py_DECREF(budget);
+    if (unlimited)
+        return 0; /* Deadline(None).expired is always False */
+    if (read_double_attr(deadline, "budget", &d->budget) < 0
+        || read_double_attr(deadline, "_start", &d->start) < 0)
+        return -1;
+    d->mode = DEADLINE_CLOCK;
+#endif
+    return 0;
+}
+
+/* 1 expired, 0 live, -1 on a raised exception. */
+static int
+deadline_expired(DeadlineCheck *d)
+{
+    if (d->mode == DEADLINE_NONE)
+        return 0;
+#ifdef KERNEL_CLOCK
+    if (d->mode == DEADLINE_CLOCK)
+        return (perf_counter_seconds() - d->start) >= d->budget;
+#endif
+    PyObject *flag = PyObject_GetAttrString(d->obj, "expired");
     if (flag == NULL)
         return -1;
     int truth = PyObject_IsTrue(flag);
@@ -847,194 +1014,258 @@ check_deadline(PyObject *deadline)
     return truth; /* PyObject_IsTrue already returns -1 on error */
 }
 
-/* ------------------------------------------------------- Python methods */
+/* ------------------------------------------------------- literal parsing */
 
-static PyObject *
-solver_ensure_vars(CSolver *s, PyObject *arg)
+/* A DIMACS literal from a Python object, validated exactly like
+ * PySolver.add_clause: anything but a non-zero int (bools excluded) raises
+ * SolverError("invalid literal <repr>").  Returns 0 with an exception set
+ * on failure. */
+static int32_t
+parse_literal(PyObject *obj)
 {
-    long want = PyLong_AsLong(arg);
-    if (want < 0 && PyErr_Occurred())
-        return NULL;
-    if (cs_ensure_vars(s, (int32_t)want) < 0)
-        return PyErr_NoMemory();
-    Py_RETURN_NONE;
-}
-
-static PyObject *
-solver_ok(CSolver *s, PyObject *Py_UNUSED(ignored))
-{
-    return PyBool_FromLong(s->ok);
-}
-
-static PyObject *
-solver_set_reduce_base(CSolver *s, PyObject *arg)
-{
-    long base = PyLong_AsLong(arg);
-    if (base < 0 && PyErr_Occurred())
-        return NULL;
-    s->reduce_base = base;
-    Py_RETURN_NONE;
-}
-
-static PyObject *
-solver_get_reduce_base(CSolver *s, PyObject *Py_UNUSED(ignored))
-{
-    return PyLong_FromLongLong(s->reduce_base);
-}
-
-static PyObject *
-solver_add_clause(CSolver *s, PyObject *arg)
-{
-    /* The wrapper hands us a deduped, tautology-free list of internal
-     * literals; this mirrors the tail of PySolver.add_clause (after cid
-     * assignment) for the non-proof path.  Returns the number of
-     * assignments the level-0 propagation enqueued. */
-    if (!PyList_Check(arg)) {
-        PyErr_SetString(PyExc_TypeError, "add_clause expects a list of internal literals");
-        return NULL;
+    if (!PyLong_CheckExact(obj) && (!PyLong_Check(obj) || PyBool_Check(obj))) {
+        PyErr_Format(SolverError, "invalid literal %R", obj);
+        return 0;
     }
-    int64_t props_before = s->propagations;
-    Py_ssize_t n = PyList_GET_SIZE(arg);
-    int32_t max_var = 0;
-    int32_t stack_lits[64];
-    int32_t *ilits = stack_lits;
-    if (n > 64) {
-        ilits = (int32_t *)malloc((size_t)n * sizeof(int32_t));
-        if (ilits == NULL)
-            return PyErr_NoMemory();
+    int overflow;
+    long long v = PyLong_AsLongLongAndOverflow(obj, &overflow);
+    if (v == -1 && PyErr_Occurred())
+        return 0;
+    if (overflow || v > MAX_VAR || v < -MAX_VAR) {
+        PyErr_Format(PyExc_OverflowError,
+                     "literal %R exceeds the kernel's variable range", obj);
+        return 0;
     }
-    for (Py_ssize_t k = 0; k < n; k++) {
-        long v = PyLong_AsLong(PyList_GET_ITEM(arg, k));
-        if (v == -1 && PyErr_Occurred()) {
-            if (ilits != stack_lits)
-                free(ilits);
-            return NULL;
+    if (v == 0)
+        PyErr_Format(SolverError, "invalid literal %R", obj);
+    return (int32_t)v;
+}
+
+/* ------------------------------------------------------------ clause ingest */
+
+/* PySolver.add_clause without proof logging: validate each literal, grow
+ * num_vars up to it (so a clause dropped as a tautology or rejected later
+ * still grows num_vars to the literal scanned), drop duplicates, drop
+ * tautologies, then simplify against level 0 and attach or propagate.
+ * Returns 1 when the clause consumed a cid, 0 for a tautology, -1 with an
+ * exception set. */
+static int
+cs_add_clause(CSolver *s, PyObject *clause)
+{
+    PyObject *seq = PySequence_Fast(clause, "a clause must be an iterable of literals");
+    if (seq == NULL)
+        return -1;
+    Py_ssize_t size = PySequence_Fast_GET_SIZE(seq);
+    PyObject **items = PySequence_Fast_ITEMS(seq);
+    IntVec *buf = &s->clause_buf;
+    buf->size = 0;
+    int32_t stamp = ++s->stamp;
+    for (Py_ssize_t k = 0; k < size; k++) {
+        int32_t lit = parse_literal(items[k]);
+        if (lit == 0)
+            goto fail;
+        int32_t var = lit < 0 ? -lit : lit;
+        if (cs_ensure_vars(s, var) < 0)
+            goto oom;
+        int32_t ilit = 2 * var + (lit < 0 ? 1 : 0);
+        if (s->lit_mark[ilit ^ 1] == stamp) {
+            Py_DECREF(seq);
+            return 0; /* tautology */
         }
-        ilits[k] = (int32_t)v;
-        if ((int32_t)(v >> 1) > max_var)
-            max_var = (int32_t)(v >> 1);
+        if (s->lit_mark[ilit] == stamp)
+            continue;
+        s->lit_mark[ilit] = stamp;
+        if (intvec_push(buf, ilit) < 0)
+            goto oom;
     }
-    if (cs_ensure_vars(s, max_var) < 0)
-        goto oom;
+    Py_DECREF(seq);
     if (!s->ok)
-        goto done;
+        return 1;
 
+    int32_t *ilits = buf->data;
+    Py_ssize_t n = buf->size;
     /* Satisfied at level 0: never an antecedent, drop it. */
     for (Py_ssize_t k = 0; k < n; k++) {
         if (lit_value(s, ilits[k]) == VAL_TRUE)
-            goto done;
+            return 1;
     }
     /* Simplify against the level-0 assignment.  At add time every
      * assignment is level 0, so this removes exactly the false literals
      * and the remainder is entirely unassigned. */
-    {
-        Py_ssize_t w = 0;
-        for (Py_ssize_t k = 0; k < n; k++) {
-            if (lit_value(s, ilits[k]) != VAL_FALSE)
-                ilits[w++] = ilits[k];
-        }
-        n = w;
+    Py_ssize_t w = 0;
+    for (Py_ssize_t k = 0; k < n; k++) {
+        if (lit_value(s, ilits[k]) != VAL_FALSE)
+            ilits[w++] = ilits[k];
     }
+    n = w;
     if (n == 0) {
         s->ok = 0;
-        goto done;
+        return 1;
     }
-    {
-        Clause *record = clause_new(ilits, (int32_t)n, 0);
-        if (record == NULL)
-            goto oom;
-        if (clausevec_push(&s->clauses, record) < 0)
-            goto oom;
-        if (n == 1) {
-            if (cs_enqueue(s, record->lits[0], record) < 0)
-                goto oom;
-            Clause *conflict = cs_propagate(s);
-            if (PyErr_Occurred())
-                goto fail;
-            if (conflict != NULL)
-                s->ok = 0;
-            goto done;
-        }
-        if (cs_attach(s, record) < 0)
-            goto oom;
+    Clause *record = clause_new(ilits, (int32_t)n, 0);
+    if (record == NULL)
+        goto oom_unowned;
+    if (clausevec_push(&s->clauses, record) < 0) {
+        free(record);
+        goto oom_unowned;
     }
-done:
-    if (ilits != stack_lits)
-        free(ilits);
-    return PyLong_FromLongLong(s->propagations - props_before);
+    if (n == 1) {
+        if (cs_enqueue(s, record->lits[0], record) < 0)
+            goto oom_unowned;
+        Clause *conflict = cs_propagate(s);
+        if (PyErr_Occurred())
+            return -1;
+        if (conflict != NULL)
+            s->ok = 0;
+        return 1;
+    }
+    if (cs_attach(s, record) < 0)
+        goto oom_unowned;
+    return 1;
+
 oom:
     PyErr_NoMemory();
 fail:
-    if (ilits != stack_lits)
-        free(ilits);
+    Py_DECREF(seq);
+    return -1;
+oom_unowned:
+    PyErr_NoMemory();
+    return -1;
+}
+
+/* ------------------------------------------------------- Python methods */
+
+static PyObject *
+solver_new_var(CSolver *s, PyObject *Py_UNUSED(ignored))
+{
+    if (s->num_vars >= MAX_VAR) {
+        PyErr_SetString(PyExc_OverflowError, "the kernel's variable range is exhausted");
+        return NULL;
+    }
+    if (cs_ensure_vars(s, s->num_vars + 1) < 0)
+        return PyErr_NoMemory();
+    return PyLong_FromLong(s->num_vars);
+}
+
+static PyObject *
+solver_add_clauses(CSolver *s, PyObject *const *args, Py_ssize_t nargs)
+{
+    /* add_clauses(clauses, num_vars) -> list of cids (None for dropped
+     * tautologies): PySolver.add_cnf over any sequence of clauses. */
+    if (nargs != 2) {
+        PyErr_SetString(PyExc_TypeError, "add_clauses(clauses, num_vars)");
+        return NULL;
+    }
+    long want = PyLong_AsLong(args[1]);
+    if (want == -1 && PyErr_Occurred())
+        return NULL;
+    if (want > MAX_VAR) {
+        PyErr_SetString(PyExc_OverflowError, "num_vars exceeds the kernel's variable range");
+        return NULL;
+    }
+    if (cs_ensure_vars(s, (int32_t)want) < 0)
+        return PyErr_NoMemory();
+    PyObject *seq = PySequence_Fast(args[0], "add_clauses expects a sequence of clauses");
+    if (seq == NULL)
+        return NULL;
+    Py_ssize_t n = PySequence_Fast_GET_SIZE(seq);
+    PyObject *cids = PyList_New(n);
+    if (cids == NULL) {
+        Py_DECREF(seq);
+        return NULL;
+    }
+    for (Py_ssize_t i = 0; i < n; i++) {
+        int kept = cs_add_clause(s, PySequence_Fast_GET_ITEM(seq, i));
+        if (kept < 0)
+            goto fail;
+        PyObject *cid = kept ? PyLong_FromLongLong(s->next_cid++) : Py_NewRef(Py_None);
+        if (cid == NULL)
+            goto fail;
+        PyList_SET_ITEM(cids, i, cid);
+    }
+    Py_DECREF(seq);
+    return cids;
+fail:
+    Py_DECREF(seq);
+    Py_DECREF(cids);
     return NULL;
 }
 
 static PyObject *
-build_model(CSolver *s)
+build_values(CSolver *s)
 {
-    PyObject *model = PyDict_New();
-    if (model == NULL)
+    /* One byte per variable, indexed by variable (byte 0 unused). */
+    PyObject *values = PyBytes_FromStringAndSize(NULL, (Py_ssize_t)s->num_vars + 1);
+    if (values == NULL)
         return NULL;
-    for (int32_t var = 1; var <= s->num_vars; var++) {
-        PyObject *key = PyLong_FromLong(var);
-        PyObject *val = PyBool_FromLong(s->assigns[var] == VAL_TRUE);
-        if (key == NULL || val == NULL || PyDict_SetItem(model, key, val) < 0) {
-            Py_XDECREF(key);
-            Py_XDECREF(val);
-            Py_DECREF(model);
+    char *out = PyBytes_AS_STRING(values);
+    out[0] = 0;
+    for (int32_t var = 1; var <= s->num_vars; var++)
+        out[var] = s->assigns[var] == VAL_TRUE;
+    return values;
+}
+
+static PyObject *
+build_core(const IntVec *core)
+{
+    PyObject *tuple = PyTuple_New(core->size);
+    if (tuple == NULL)
+        return NULL;
+    for (Py_ssize_t k = 0; k < core->size; k++) {
+        PyObject *item = PyLong_FromLong(core->data[k]);
+        if (item == NULL) {
+            Py_DECREF(tuple);
             return NULL;
         }
-        Py_DECREF(key);
-        Py_DECREF(val);
+        PyTuple_SET_ITEM(tuple, k, item);
     }
-    return model;
+    return tuple;
 }
 
 static PyObject *
-build_result(CSolver *s, int status, PyObject *model, PyObject *core)
+solver_solve(CSolver *s, PyObject *const *args, Py_ssize_t nargs)
 {
-    if (model == NULL)
-        model = Py_NewRef(Py_None);
-    if (core == NULL)
-        core = Py_NewRef(Py_None);
-    PyObject *result = Py_BuildValue(
-        "iOOLLL", status, model, core, (long long)s->conflicts,
-        (long long)s->decisions, (long long)s->propagations);
-    Py_DECREF(model);
-    Py_DECREF(core);
-    return result;
-}
-
-static PyObject *
-solver_solve(CSolver *s, PyObject *args)
-{
-    PyObject *assumptions_obj;
-    long long budget;
-    PyObject *deadline;
-    if (!PyArg_ParseTuple(args, "OLO", &assumptions_obj, &budget, &deadline))
-        return NULL;
-    if (!PyList_Check(assumptions_obj)) {
-        PyErr_SetString(PyExc_TypeError, "solve expects a list of internal assumption literals");
+    /* solve(assumptions, conflict_budget, deadline) -> (status, values,
+     * core): PySolver.solve with DIMACS assumptions, validated here. */
+    if (nargs != 3) {
+        PyErr_SetString(PyExc_TypeError, "solve(assumptions, conflict_budget, deadline)");
         return NULL;
     }
     if (!s->ok)
-        return build_result(s, 0, NULL, NULL);
-
-    Py_ssize_t n_assumptions = PyList_GET_SIZE(assumptions_obj);
-    int32_t *assumptions = NULL;
-    if (n_assumptions > 0) {
-        assumptions = (int32_t *)malloc((size_t)n_assumptions * sizeof(int32_t));
-        if (assumptions == NULL)
-            return PyErr_NoMemory();
-        for (Py_ssize_t k = 0; k < n_assumptions; k++) {
-            long v = PyLong_AsLong(PyList_GET_ITEM(assumptions_obj, k));
-            if (v == -1 && PyErr_Occurred()) {
-                free(assumptions);
-                return NULL;
-            }
-            assumptions[k] = (int32_t)v;
+        return Py_BuildValue("(Oy#())", Py_False, "", (Py_ssize_t)0);
+    int has_budget = args[1] != Py_None;
+    long long budget = 0;
+    if (has_budget) {
+        budget = PyLong_AsLongLong(args[1]);
+        if (budget == -1 && PyErr_Occurred())
+            return NULL;
+    }
+    PyObject *seq = PySequence_Fast(args[0], "assumptions must be an iterable of literals");
+    if (seq == NULL)
+        return NULL;
+    Py_ssize_t n_assumptions = PySequence_Fast_GET_SIZE(seq);
+    int32_t *assumptions = (int32_t *)malloc((size_t)(n_assumptions ? n_assumptions : 1) * sizeof(int32_t));
+    if (assumptions == NULL) {
+        Py_DECREF(seq);
+        return PyErr_NoMemory();
+    }
+    for (Py_ssize_t k = 0; k < n_assumptions; k++) {
+        int32_t lit = parse_literal(PySequence_Fast_GET_ITEM(seq, k));
+        int32_t var = lit < 0 ? -lit : lit;
+        if (lit == 0 || cs_ensure_vars(s, var) < 0) {
+            if (lit != 0)
+                PyErr_NoMemory();
+            Py_DECREF(seq);
+            free(assumptions);
+            return NULL;
         }
+        assumptions[k] = 2 * var + (lit < 0 ? 1 : 0);
+    }
+    Py_DECREF(seq);
+    DeadlineCheck deadline;
+    if (deadline_init(&deadline, args[2]) < 0) {
+        free(assumptions);
+        return NULL;
     }
 
     cs_cancel_until(s, 0);
@@ -1043,8 +1274,8 @@ solver_solve(CSolver *s, PyObject *args)
     int64_t restart_budget = 64 * luby(restart_index);
     int64_t conflicts_this_restart = 0;
     int status = -2; /* sentinel: still searching */
-    PyObject *model = NULL;
-    PyObject *core_list = NULL;
+    PyObject *values = NULL;
+    PyObject *core = NULL;
 
     while (status == -2) {
         Clause *conflict = cs_propagate(s);
@@ -1066,12 +1297,12 @@ solver_solve(CSolver *s, PyObject *args)
                 goto oom;
             s->var_inc *= s->var_inc_growth;
             s->cla_inc *= s->cla_inc_growth;
-            if (budget >= 0 && s->conflicts - conflicts_at_start >= budget) {
+            if (has_budget && s->conflicts - conflicts_at_start >= budget) {
                 cs_cancel_until(s, 0);
                 status = -1;
                 break;
             }
-            int expired = check_deadline(deadline);
+            int expired = deadline_expired(&deadline);
             if (expired < 0)
                 goto fail;
             if (expired) {
@@ -1089,7 +1320,7 @@ solver_solve(CSolver *s, PyObject *args)
         }
 
         {
-            int expired = check_deadline(deadline);
+            int expired = deadline_expired(&deadline);
             if (expired < 0)
                 goto fail;
             if (expired) {
@@ -1109,25 +1340,15 @@ solver_solve(CSolver *s, PyObject *args)
                 continue;
             }
             if (value == VAL_FALSE) {
-                IntVec core = {NULL, 0, 0};
-                if (cs_analyze_final(s, ilit, assumptions, n_assumptions, &core) < 0) {
-                    free(core.data);
+                IntVec core_lits = {NULL, 0, 0};
+                if (cs_analyze_final(s, ilit, assumptions, n_assumptions, &core_lits) < 0) {
+                    free(core_lits.data);
                     goto oom;
                 }
-                core_list = PyList_New(core.size);
-                if (core_list == NULL) {
-                    free(core.data);
+                core = build_core(&core_lits);
+                free(core_lits.data);
+                if (core == NULL)
                     goto fail;
-                }
-                for (Py_ssize_t k = 0; k < core.size; k++) {
-                    PyObject *item = PyLong_FromLong(core.data[k]);
-                    if (item == NULL) {
-                        free(core.data);
-                        goto fail;
-                    }
-                    PyList_SET_ITEM(core_list, k, item);
-                }
-                free(core.data);
                 cs_cancel_until(s, 0);
                 status = 0;
                 break;
@@ -1146,8 +1367,8 @@ solver_solve(CSolver *s, PyObject *args)
 
         int32_t ilit = cs_pick_branch(s);
         if (ilit < 0) {
-            model = build_model(s);
-            if (model == NULL)
+            values = build_values(s);
+            if (values == NULL)
                 goto fail;
             cs_cancel_until(s, 0);
             status = 1;
@@ -1161,17 +1382,24 @@ solver_solve(CSolver *s, PyObject *args)
     }
 
     free(assumptions);
-    {
-        PyObject *result = build_result(s, status, model, core_list);
-        return result;
+    if (values == NULL)
+        values = PyBytes_FromStringAndSize("", 0);
+    if (core == NULL)
+        core = PyTuple_New(0);
+    if (values == NULL || core == NULL) {
+        Py_XDECREF(values);
+        Py_XDECREF(core);
+        return NULL;
     }
+    PyObject *verdict = status == -1 ? Py_None : (status ? Py_True : Py_False);
+    return Py_BuildValue("(ONN)", verdict, values, core);
 
 oom:
     PyErr_NoMemory();
 fail:
     free(assumptions);
-    Py_XDECREF(model);
-    Py_XDECREF(core_list);
+    Py_XDECREF(values);
+    Py_XDECREF(core);
     cs_cancel_until(s, 0);
     return NULL;
 }
@@ -1179,7 +1407,7 @@ fail:
 /* ------------------------------------------------------------ lifecycle */
 
 static PyObject *
-solver_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
+solver_new(PyTypeObject *type, PyObject *Py_UNUSED(args), PyObject *Py_UNUSED(kwds))
 {
     CSolver *s = (CSolver *)type->tp_alloc(type, 0);
     if (s == NULL)
@@ -1195,6 +1423,7 @@ solver_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
     s->lbd_mark = NULL;
     s->visit_mark = NULL;
     s->assume_mark = NULL;
+    s->lit_mark = NULL;
     s->stamp = 0;
     s->watches = NULL;
     s->bin_watches = NULL;
@@ -1212,9 +1441,11 @@ solver_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
     memset(&s->clauses, 0, sizeof(ClauseVec));
     memset(&s->learnts, 0, sizeof(ClauseVec));
     memset(&s->learned_buf, 0, sizeof(IntVec));
+    memset(&s->clause_buf, 0, sizeof(IntVec));
     s->ok = 1;
     s->reduce_base = REDUCE_BASE;
     s->conflicts = s->decisions = s->propagations = 0;
+    s->next_cid = 0;
     return (PyObject *)s;
 }
 
@@ -1245,6 +1476,7 @@ solver_dealloc(CSolver *s)
     free(s->clauses.data);
     free(s->learnts.data);
     free(s->learned_buf.data);
+    free(s->clause_buf.data);
     free(s->watches);
     free(s->bin_watches);
     free(s->assigns);
@@ -1256,28 +1488,35 @@ solver_dealloc(CSolver *s)
     free(s->lbd_mark);
     free(s->visit_mark);
     free(s->assume_mark);
+    free(s->lit_mark);
     free(s->trail);
     free(s->trail_lim);
-    free(s->heap);
+    heap_free(s);
     Py_TYPE(s)->tp_free((PyObject *)s);
 }
 
 static PyMethodDef solver_methods[] = {
-    {"ensure_vars", (PyCFunction)solver_ensure_vars, METH_O,
-     "Grow the variable range to at least n."},
-    {"add_clause", (PyCFunction)solver_add_clause, METH_O,
-     "Add a pre-cleaned clause of internal literals; returns the number of "
-     "level-0 propagations it triggered."},
-    {"solve", (PyCFunction)solver_solve, METH_VARARGS,
-     "solve(assumptions, conflict_budget, deadline) -> (status, model, "
-     "core, conflicts, decisions, propagations)"},
-    {"ok", (PyCFunction)solver_ok, METH_NOARGS,
-     "False once the clause database is unsatisfiable on its own."},
-    {"set_reduce_base", (PyCFunction)solver_set_reduce_base, METH_O,
-     "Set the learned-clause count that triggers a reduction (test hook)."},
-    {"get_reduce_base", (PyCFunction)solver_get_reduce_base, METH_NOARGS,
-     "The learned-clause count that triggers a reduction."},
+    {"new_var", (PyCFunction)solver_new_var, METH_NOARGS,
+     "Allocate a fresh variable and return its index."},
+    {"add_clauses", (PyCFunction)(void (*)(void))solver_add_clauses, METH_FASTCALL,
+     "add_clauses(clauses, num_vars) -> cids: grow to num_vars, then ingest "
+     "every clause (None marks a dropped tautology)."},
+    {"solve", (PyCFunction)(void (*)(void))solver_solve, METH_FASTCALL,
+     "solve(assumptions, conflict_budget, deadline) -> (status, values, core)"},
     {NULL, NULL, 0, NULL},
+};
+
+static PyMemberDef solver_members[] = {
+    {"num_vars", T_INT, offsetof(CSolver, num_vars), READONLY, "Variables allocated."},
+    {"ok", T_INT, offsetof(CSolver, ok), READONLY,
+     "0 once the clause database is unsatisfiable on its own."},
+    {"reduce_base", T_LONGLONG, offsetof(CSolver, reduce_base), 0,
+     "Learned-clause count that triggers a reduction (test hook)."},
+    {"conflicts", T_LONGLONG, offsetof(CSolver, conflicts), READONLY, NULL},
+    {"decisions", T_LONGLONG, offsetof(CSolver, decisions), READONLY, NULL},
+    {"propagations", T_LONGLONG, offsetof(CSolver, propagations), READONLY,
+     "Enqueues by unit propagation, including level-0 ingest."},
+    {NULL, 0, 0, 0, NULL},
 };
 
 static PyTypeObject SolverType = {
@@ -1288,6 +1527,7 @@ static PyTypeObject SolverType = {
     .tp_flags = Py_TPFLAGS_DEFAULT,
     .tp_doc = "Compiled CDCL kernel (decision-for-decision twin of PySolver).",
     .tp_methods = solver_methods,
+    .tp_members = solver_members,
     .tp_new = solver_new,
 };
 
@@ -1298,9 +1538,24 @@ static PyModuleDef ckernel_module = {
     .m_size = -1,
 };
 
+static PyObject *
+import_attr(const char *module_name, const char *attr)
+{
+    PyObject *module = PyImport_ImportModule(module_name);
+    if (module == NULL)
+        return NULL;
+    PyObject *value = PyObject_GetAttrString(module, attr);
+    Py_DECREF(module);
+    return value;
+}
+
 PyMODINIT_FUNC
 PyInit__ckernel(void)
 {
+    if (SolverError == NULL && (SolverError = import_attr("repro.errors", "SolverError")) == NULL)
+        return NULL;
+    if (DeadlineType == NULL && (DeadlineType = import_attr("repro.utils.timer", "Deadline")) == NULL)
+        return NULL;
     if (PyType_Ready(&SolverType) < 0)
         return NULL;
     PyObject *module = PyModule_Create(&ckernel_module);

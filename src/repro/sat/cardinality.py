@@ -61,7 +61,7 @@ def at_most_k(cnf: CNF, lits: Sequence[int], k: int, encoding: str = "seqcounter
     if encoding == "seqcounter":
         _seqcounter_at_most_k(cnf, lits, k)
     elif encoding == "totalizer":
-        outputs = totalizer_outputs(cnf, lits)
+        outputs = _totalizer(cnf, lits)
         # outputs[i] is true iff at least i+1 inputs are true.
         cnf.add_unit(-outputs[k])
     elif encoding == "pairwise":
@@ -99,24 +99,28 @@ def _seqcounter_at_most_k(cnf: CNF, lits: Sequence[int], k: int) -> None:
 
     Auxiliary variable ``s[i][j]`` means "among the first i+1 literals at
     least j+1 are true"; the final constraint forbids the counter reaching
-    ``k + 1`` anywhere.
+    ``k + 1`` anywhere.  ``lits`` were validated by the caller and every
+    other literal is fresh, so the clauses are appended unchecked.
     """
     n = len(lits)
     # s[i][j] for i in 0..n-1, j in 0..k-1
     s = [[cnf.new_var() for _ in range(k)] for _ in range(n)]
-    cnf.add_clause((-lits[0], s[0][0]))
+    clauses = cnf.clauses
+    clauses.append((-lits[0], s[0][0]))
     for j in range(1, k):
-        cnf.add_unit(-s[0][j])
+        clauses.append((-s[0][j],))
     for i in range(1, n):
-        cnf.add_clause((-lits[i], s[i][0]))
-        cnf.add_clause((-s[i - 1][0], s[i][0]))
+        clauses.append((-lits[i], s[i][0]))
+        clauses.append((-s[i - 1][0], s[i][0]))
         for j in range(1, k):
-            cnf.add_clause((-lits[i], -s[i - 1][j - 1], s[i][j]))
-            cnf.add_clause((-s[i - 1][j], s[i][j]))
-        cnf.add_clause((-lits[i], -s[i - 1][k - 1]))
+            clauses.append((-lits[i], -s[i - 1][j - 1], s[i][j]))
+            clauses.append((-s[i - 1][j], s[i][j]))
+        clauses.append((-lits[i], -s[i - 1][k - 1]))
     # The counter for the last position may not exceed k either; the clause
     # above already covers i = n-1 because it forbids lits[i] when the prefix
-    # already holds k.
+    # already holds k.  Inputs beyond the counter grow it, as
+    # CNF.add_clause would have.
+    cnf.num_vars = max(cnf.num_vars, *map(abs, lits))
 
 
 def totalizer_outputs(cnf: CNF, lits: Sequence[int]) -> List[int]:
@@ -126,16 +130,22 @@ def totalizer_outputs(cnf: CNF, lits: Sequence[int]) -> List[int]:
     iff at least ``i + 1`` of the inputs are true, and the encoding forces
     the outputs to be monotone (``out[i+1] -> out[i]``).
     """
-    lits = [check_literal(l) for l in lits]
-    if not lits:
-        return []
-    if len(lits) == 1:
-        return [lits[0]]
+    return _totalizer(cnf, [check_literal(l) for l in lits])
+
+
+def _totalizer(cnf: CNF, lits: List[int]) -> List[int]:
+    """:func:`totalizer_outputs` over literals validated once at entry."""
+    if len(lits) <= 1:
+        return lits
     mid = len(lits) // 2
-    left = totalizer_outputs(cnf, lits[:mid])
-    right = totalizer_outputs(cnf, lits[mid:])
+    left = _totalizer(cnf, lits[:mid])
+    right = _totalizer(cnf, lits[mid:])
     n = len(lits)
     out = [cnf.new_var() for _ in range(n)]
+    # An input literal may lie beyond the counter; account for it exactly
+    # where validating add_clause would have (before the next fresh var).
+    cnf.num_vars = max(cnf.num_vars, abs(left[0]), abs(right[0]))
+    clauses = cnf.clauses
     # Merge clauses.  Lower direction: if at least ``alpha`` left inputs and
     # ``beta`` right inputs are true then at least ``alpha + beta`` outputs
     # are true.  Upper direction: if at most ``alpha`` left and ``beta``
@@ -149,24 +159,15 @@ def totalizer_outputs(cnf: CNF, lits: Sequence[int]) -> List[int]:
                     antecedents.append(-left[alpha - 1])
                 if beta > 0:
                     antecedents.append(-right[beta - 1])
-                cnf.add_clause(tuple(antecedents) + (out[sigma - 1],))
+                clauses.append((*antecedents, out[sigma - 1]))
             if sigma <= n - 1:
                 consequents = []
                 if alpha < len(left):
                     consequents.append(left[alpha])
                 if beta < len(right):
                     consequents.append(right[beta])
-                cnf.add_clause(tuple(consequents) + (-out[sigma],))
+                clauses.append((*consequents, -out[sigma]))
     # Monotonicity of the output vector.
     for i in range(n - 1):
-        cnf.add_clause((-out[i + 1], out[i]))
+        clauses.append((-out[i + 1], out[i]))
     return out
-
-
-def counter_outputs(cnf: CNF, lits: Sequence[int]) -> List[int]:
-    """Unary "at least i+1 true" outputs (alias of :func:`totalizer_outputs`).
-
-    Provided under a neutral name for callers that only care about the
-    semantics, not the encoding.
-    """
-    return totalizer_outputs(cnf, lits)

@@ -28,7 +28,9 @@ Two interchangeable substrates implement the loop:
 * :class:`CKernelSolver` — a thin wrapper over the optional compiled
   extension :mod:`repro.sat._ckernel` (built by
   ``python setup.py build_ext --inplace``), which implements the identical
-  state machine in C.  The kernel is *decision-for-decision identical* to
+  state machine in C.  The boundary is coarse: one kernel call ingests a
+  whole :class:`CNF` and one runs a whole ``solve``; the model comes back
+  as ``bytes``.  The kernel is *decision-for-decision identical* to
   the Python path — same VSIDS tie-breaking (bit-exact IEEE-754 activity
   arithmetic and ``heapq`` semantics), same Luby restarts, same LBD
   reduction — so kernel-on and kernel-off runs produce bit-identical
@@ -45,7 +47,7 @@ from __future__ import annotations
 import os
 import threading
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -175,23 +177,41 @@ def _neg(ilit: int) -> int:
     return ilit ^ 1
 
 
+def _model_dict(values: bytes) -> Dict[int, bool]:
+    return {var: values[var] == 1 for var in range(1, len(values))}
+
+
+def _model_value(values: bytes, lit: int) -> Optional[bool]:
+    var = abs(lit)
+    if not 0 < var < len(values):
+        return None
+    return (values[var] == 1) == (lit > 0)
+
+
 @dataclass
 class SolveResult:
     """Outcome of a :meth:`PySolver.solve` call.
 
     ``status`` is ``True`` for SAT, ``False`` for UNSAT and ``None`` when a
     conflict budget or deadline expired before a verdict was reached.  For
+    SAT answers ``values[var]`` is 1 when ``var`` is true and 0 when false
+    (byte 0 is unused); :attr:`model` is the same assignment as a dict.  For
     UNSAT answers obtained under assumptions, ``core`` holds a subset of the
     assumption literals whose conjunction with the clause database is already
     unsatisfiable.
     """
 
     status: Optional[bool]
-    model: Dict[int, bool] = field(default_factory=dict)
+    values: bytes = b""
     core: Tuple[int, ...] = ()
     conflicts: int = 0
     decisions: int = 0
     propagations: int = 0
+
+    @property
+    def model(self) -> Dict[int, bool]:
+        """The satisfying assignment as ``{var: bool}`` (built on demand)."""
+        return _model_dict(self.values)
 
     def __bool__(self) -> bool:
         return self.status is True
@@ -286,7 +306,7 @@ class PySolver:
         self.conflicts = 0
         self.decisions = 0
         self.propagations = 0
-        self._model: Dict[int, bool] = {}
+        self._values = b""
         self._core: Tuple[int, ...] = ()
 
     # ------------------------------------------------------------------ API
@@ -403,13 +423,13 @@ class PySolver:
         deadline: Optional[Deadline] = None,
     ) -> SolveResult:
         """Run the CDCL loop and return a :class:`SolveResult`."""
-        self._model = {}
+        self._values = b""
         self._core = ()
         if not self._ok:
             return self._result(False)
         for lit in assumptions:
-            if lit == 0:
-                raise SolverError("assumption literal cannot be zero")
+            if not isinstance(lit, int) or isinstance(lit, bool) or lit == 0:
+                raise SolverError(f"invalid literal {lit!r}")
             self._ensure_var(abs(lit))
         self._cancel_until(0)
         int_assumptions = [_internal(l) for l in assumptions]
@@ -473,9 +493,7 @@ class PySolver:
 
             ilit = self._pick_branch()
             if ilit is None:
-                self._model = {
-                    v: self._assigns[v] == TRUE for v in range(1, self._num_vars + 1)
-                }
+                self._values = bytes(a == TRUE for a in self._assigns)
                 self._cancel_until(0)
                 return self._result(True)
             self.decisions += 1
@@ -485,15 +503,11 @@ class PySolver:
 
     def model(self) -> Dict[int, bool]:
         """The satisfying assignment from the most recent SAT answer."""
-        return dict(self._model)
+        return _model_dict(self._values)
 
     def model_value(self, lit: int) -> Optional[bool]:
         """Value of a DIMACS literal in the last model (``None`` if absent)."""
-        var = abs(lit)
-        if var not in self._model:
-            return None
-        value = self._model[var]
-        return value if lit > 0 else not value
+        return _model_value(self._values, lit)
 
     def core(self) -> Tuple[int, ...]:
         """Failed assumptions responsible for the last UNSAT answer."""
@@ -510,7 +524,7 @@ class PySolver:
     def _result(self, status: Optional[bool]) -> SolveResult:
         return SolveResult(
             status=status,
-            model=dict(self._model),
+            values=self._values,
             core=self._core,
             conflicts=self.conflicts,
             decisions=self.decisions,
@@ -919,11 +933,12 @@ class CKernelSolver:
     """The compiled-kernel substrate behind :func:`Solver`.
 
     The public surface mirrors :class:`PySolver` exactly (minus proof
-    logging, which the factory routes to the pure path).  Clause hygiene —
-    literal validation, tautology and duplicate elimination — happens here
-    in Python so the error behaviour is byte-identical to the reference;
-    the level-0 simplification, watcher bookkeeping and the entire search
-    loop run inside :mod:`repro.sat._ckernel`.
+    logging, which the factory routes to the pure path).  Each method is
+    one call into :mod:`repro.sat._ckernel`: clause hygiene (literal
+    validation with the reference's exception types and messages,
+    tautology and duplicate elimination, ``num_vars`` growth), the level-0
+    tail, assumption conversion, the search loop and deadline checks all
+    run in C.
     """
 
     proof_logging = False
@@ -932,80 +947,52 @@ class CKernelSolver:
         if _ckernel is None:  # pragma: no cover - factory guards this
             raise SolverError("the compiled solver kernel is not available")
         self._c = _ckernel.Solver()
-        self._num_vars = 0
-        self._next_cid = 0
-        self.conflicts = 0
-        self.decisions = 0
-        self.propagations = 0
-        self._model: Dict[int, bool] = {}
+        self._values = b""
         self._core: Tuple[int, ...] = ()
 
     # ------------------------------------------------------------------ API
 
-    @property
-    def num_vars(self) -> int:
-        return self._num_vars
+    num_vars = property(lambda self: self._c.num_vars)
+    conflicts = property(lambda self: self._c.conflicts)
+    decisions = property(lambda self: self._c.decisions)
+    propagations = property(lambda self: self._c.propagations)
 
     @property
     def ok(self) -> bool:
-        return bool(self._c.ok())
+        return bool(self._c.ok)
 
     @property
     def _reduce_base(self) -> int:
         # Test hook, mirroring PySolver._reduce_base (the learned-clause
         # count that triggers an LBD reduction).
-        return self._c.get_reduce_base()
+        return self._c.reduce_base
 
     @_reduce_base.setter
     def _reduce_base(self, value: int) -> None:
-        self._c.set_reduce_base(value)
+        self._c.reduce_base = value
 
     def new_var(self) -> int:
-        self._num_vars += 1
-        self._c.ensure_vars(self._num_vars)
-        return self._num_vars
-
-    def _ensure_var(self, var: int) -> None:
-        if var > self._num_vars:
-            self._num_vars = var
-            self._c.ensure_vars(var)
+        return self._c.new_var()
 
     def add_clause(self, lits: Iterable[int]) -> Optional[int]:
         """Add a clause; ``None`` for dropped tautologies (see PySolver)."""
-        seen: Set[int] = set()
-        clause: List[int] = []
-        max_var = 0
-        for lit in lits:
-            if not isinstance(lit, int) or isinstance(lit, bool) or lit == 0:
-                raise SolverError(f"invalid literal {lit!r}")
-            var = lit if lit > 0 else -lit
-            if var > max_var:
-                max_var = var
-            ilit = 2 * var + (1 if lit < 0 else 0)
-            if ilit ^ 1 in seen:
-                # The reference allocates variables while scanning, so a
-                # dropped tautology still grows num_vars for the literals
-                # scanned so far (including this one).
-                self._ensure_var(max_var)
-                return None  # tautology
-            if ilit in seen:
-                continue
-            seen.add(ilit)
-            clause.append(ilit)
-        self._ensure_var(max_var)
-        cid = self._next_cid
-        self._next_cid += 1
-        # Level-0 propagation triggered by the new clause counts as solver
-        # work exactly like in-search propagation (the reference counts it
-        # through the same _propagate loop).
-        delta = self._c.add_clause(clause)
-        self.propagations += delta
-        _work_cells()[2] += delta
-        return cid
+        return self._add((lits,), 0)[0]
 
     def add_cnf(self, cnf: CNF) -> List[Optional[int]]:
-        self._ensure_var(cnf.num_vars)
-        return [self.add_clause(clause) for clause in cnf.clauses]
+        return self._add(cnf.clauses, cnf.num_vars)
+
+    def _add(
+        self, clauses: Sequence[Iterable[int]], num_vars: int
+    ) -> List[Optional[int]]:
+        # Level-0 propagation triggered by new clauses counts as solver work
+        # exactly like in-search propagation (the reference counts it
+        # through the same _propagate loop).
+        kernel = self._c
+        before = kernel.propagations
+        try:
+            return kernel.add_clauses(clauses, num_vars)
+        finally:
+            _work_cells()[2] += kernel.propagations - before
 
     def solve(
         self,
@@ -1013,48 +1000,33 @@ class CKernelSolver:
         conflict_budget: Optional[int] = None,
         deadline: Optional[Deadline] = None,
     ) -> SolveResult:
-        self._model = {}
+        kernel = self._c
+        self._values = b""
         self._core = ()
-        int_assumptions: List[int] = []
-        for lit in assumptions:
-            if not isinstance(lit, int) or lit == 0:
-                raise SolverError("assumption literal cannot be zero")
-            var = lit if lit > 0 else -lit
-            self._ensure_var(var)
-            int_assumptions.append(2 * var + (1 if lit < 0 else 0))
-        budget = -1 if conflict_budget is None else conflict_budget
-        status, model, core, conflicts, decisions, propagations = self._c.solve(
-            int_assumptions, budget, deadline
-        )
-        cells = _work_cells()
-        cells[0] += conflicts - self.conflicts
-        cells[1] += decisions - self.decisions
-        cells[2] += propagations - self.propagations
-        self.conflicts = conflicts
-        self.decisions = decisions
-        self.propagations = propagations
-        if model is not None:
-            self._model = model
-        if core is not None:
-            self._core = tuple(dict.fromkeys(core))
+        before = (kernel.conflicts, kernel.decisions, kernel.propagations)
+        try:
+            status, self._values, self._core = kernel.solve(
+                assumptions, conflict_budget, deadline
+            )
+        finally:
+            cells = _work_cells()
+            cells[0] += kernel.conflicts - before[0]
+            cells[1] += kernel.decisions - before[1]
+            cells[2] += kernel.propagations - before[2]
         return SolveResult(
-            status=None if status < 0 else bool(status),
-            model=dict(self._model),
-            core=self._core,
-            conflicts=conflicts,
-            decisions=decisions,
-            propagations=propagations,
+            status,
+            self._values,
+            self._core,
+            kernel.conflicts,
+            kernel.decisions,
+            kernel.propagations,
         )
 
     def model(self) -> Dict[int, bool]:
-        return dict(self._model)
+        return _model_dict(self._values)
 
     def model_value(self, lit: int) -> Optional[bool]:
-        var = abs(lit)
-        if var not in self._model:
-            return None
-        value = self._model[var]
-        return value if lit > 0 else not value
+        return _model_value(self._values, lit)
 
     def core(self) -> Tuple[int, ...]:
         return self._core

@@ -12,6 +12,8 @@ Three contracts anchor the layer:
   deterministic set of per-output records.
 """
 
+import asyncio
+
 import pytest
 
 from repro import (
@@ -661,6 +663,38 @@ class TestAsyncSession:
         expected = sorted(r.fingerprint() for r in sync_session.as_completed())
         assert sorted(r.fingerprint() for r in records) == expected
         assert all(handle.state == "done" for handle in handles)
+
+    def test_records_queued_after_the_ticket_turns_terminal_are_kept(self):
+        """Loop callbacks can trail the executor thread: a ticket may read
+        terminal while its record callbacks are still queued.  Neither
+        stream may end before they land."""
+
+        async def go():
+            async with AsyncSession(jobs=1, backend="serial") as session:
+                loop = session._loop
+                held = []
+                loop.call_soon_threadsafe = lambda *call: held.append(call)
+                handle = session.submit(request_for(ripple_carry_adder(2)))
+                del loop.call_soon_threadsafe
+                assert handle.ticket.terminal and held
+
+                async def drain(stream):
+                    return [item async for item in stream]
+
+                streams = [
+                    asyncio.ensure_future(drain(handle.events())),
+                    asyncio.ensure_future(drain(session.as_completed())),
+                ]
+                await asyncio.sleep(0.01)
+                for call in held:
+                    loop.call_soon(*call)
+                return await asyncio.gather(*streams)
+
+        events, records = _run_async(go())
+        outputs = {"s0", "s1", "cout"}
+        assert {e["output"] for e in events if e["type"] == "record"} == outputs
+        assert events[-1]["state"] == "done"
+        assert {record.output_name for record in records} == outputs
 
     def test_events_stream_progress_and_terminal_state(self):
         async def go():

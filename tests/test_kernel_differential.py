@@ -19,6 +19,8 @@ import sys
 
 import pytest
 
+from repro.errors import SolverError
+from repro.sat.cnf import CNF
 from repro.sat.solver import (
     CKernelSolver,
     PURE_PYTHON_ENV,
@@ -27,6 +29,7 @@ from repro.sat.solver import (
     active_kernel_name,
     kernel_available,
     kernel_forced_pure,
+    solver_work_snapshot,
 )
 from repro.utils.rng import deterministic_rng
 from repro.utils.timer import Deadline
@@ -201,3 +204,217 @@ def test_engine_fingerprints_identical_across_substrates():
     assert outputs["c"]["stats"] == outputs["python"]["stats"]
     assert outputs["c"]["stats"]["propagations"] > 0
     assert outputs["c"]["fingerprint"] == outputs["python"]["fingerprint"]
+
+
+# --------------------------------------------------------------------------
+# The coarse boundary: bulk ingest, hygiene, model bytes, deadlines in C
+# --------------------------------------------------------------------------
+
+
+def _both():
+    return PySolver(), CKernelSolver()
+
+
+def _state(solver):
+    return (
+        solver.num_vars,
+        solver.ok,
+        solver.conflicts,
+        solver.decisions,
+        solver.propagations,
+    )
+
+
+def _ingest_corpus():
+    """Fuzz instances plus the hygiene features a bulk ingest must mirror:
+    duplicates, tautologies, level-0 units and a padded num_vars."""
+    cases = []
+    for label, num_vars, clauses in INSTANCES:
+        cnf = CNF(num_vars + 3)
+        cnf.add_clauses(clauses)
+        cases.append((label, cnf))
+    cnf = CNF(12)
+    cnf.add_clauses(
+        [(1, 1, 2), (3, -3), (-1,), (1, 4, 5), (5, -6, 5), (7, 8, -7), (-2, 9), (9, 10, 11)]
+    )
+    cases.append(("hygiene", cnf))
+    cnf = CNF(4)
+    cnf.add_clauses([(1,), (-1, 2), (-2,), (3, 4)])
+    cases.append(("level0-conflict", cnf))
+    return cases
+
+
+INGEST = _ingest_corpus()
+
+
+@needs_kernel
+class TestBulkIngest:
+    @pytest.mark.parametrize("label,cnf", INGEST, ids=[c[0] for c in INGEST])
+    def test_add_cnf_matches_the_reference(self, label, cnf):
+        pure, kern = _both()
+        assert kern.add_cnf(cnf) == pure.add_cnf(cnf)
+        assert _state(kern) == _state(pure)
+        results = [solver.solve() for solver in (pure, kern)]
+        assert _state(kern) == _state(pure)
+        assert results[1] == results[0]
+        assert kern.model() == pure.model()
+        if results[0].status is True:
+            assert model_satisfies(pure.model(), cnf.clauses)
+
+    def test_bulk_and_per_clause_ingest_agree(self):
+        label, num_vars, clauses = INSTANCES[3]
+        cnf = CNF(num_vars)
+        cnf.add_clauses(clauses)
+        bulk, single = CKernelSolver(), CKernelSolver()
+        cids = bulk.add_cnf(cnf)
+        assert [single.add_clause(clause) for clause in clauses] == cids
+        assert bulk.solve() == single.solve()
+        assert _state(bulk) == _state(single)
+
+    def test_work_counters_follow_level0_ingest(self):
+        cnf = CNF()
+        cnf.add_clauses([(-1, 2), (-2, 3), (-3, 4), (1,)])
+        deltas = []
+        for solver in _both():
+            before = solver_work_snapshot()
+            solver.add_cnf(cnf)
+            deltas.append(tuple(b - a for a, b in zip(before, solver_work_snapshot())))
+        assert deltas[0] == deltas[1] == (0, 0, 3)
+
+
+class TestHygieneEdgeCases:
+    """Run on both substrates (pure only when the kernel is absent)."""
+
+    def _solvers(self):
+        solvers = [PySolver()]
+        if kernel_available():
+            solvers.append(CKernelSolver())
+        return solvers
+
+    def test_tautology_grows_num_vars_to_the_scanned_literal(self):
+        for solver in self._solvers():
+            assert solver.add_clause([2, 5, -2, 9]) is None
+            assert solver.num_vars == 5
+            assert solver.add_clause([1]) == 0
+
+    def test_duplicates_are_dropped(self):
+        for solver in self._solvers():
+            assert solver.add_clause([3, 3, -4, 3]) == 0
+            assert solver.solve(assumptions=[-3]).status is True
+            assert solver.model_value(-4) is True
+
+    @pytest.mark.parametrize("bad", [0, True, False, "x", 1.5, None])
+    def test_invalid_clause_literals_fail_identically(self, bad):
+        errors = set()
+        for solver in self._solvers():
+            with pytest.raises(SolverError) as info:
+                solver.add_clause([4, bad, 7])
+            errors.add((type(info.value), str(info.value), solver.num_vars))
+        assert errors == {(SolverError, f"invalid literal {bad!r}", 4)}
+
+    @pytest.mark.parametrize("bad", [0, True, "x", 1.5, None])
+    def test_invalid_assumptions_fail_identically(self, bad):
+        errors = set()
+        for solver in self._solvers():
+            solver.add_clause([1, 2])
+            with pytest.raises(SolverError) as info:
+                solver.solve(assumptions=[6, bad])
+            errors.add((type(info.value), str(info.value), solver.num_vars))
+            assert solver.model() == {}
+        assert errors == {(SolverError, f"invalid literal {bad!r}", 6)}
+
+    def test_unsat_database_skips_assumption_validation(self):
+        for solver in self._solvers():
+            solver.add_clause([1])
+            solver.add_clause([-1])
+            assert solver.solve(assumptions=["x"]).status is False
+            assert solver.num_vars == 1
+
+
+@needs_kernel
+class TestModelBytes:
+    @pytest.mark.parametrize("label,num_vars,clauses", INSTANCES[:10])
+    def test_values_model_and_model_value_identical(self, label, num_vars, clauses):
+        pure, kern = _both()
+        for solver in (pure, kern):
+            solver.add_cnf(CNF(num_vars + 2, clauses))
+        results = [solver.solve() for solver in (pure, kern)]
+        assert results[1].values == results[0].values
+        assert results[1].model == results[0].model
+        assert kern.model() == pure.model()
+        probes = list(range(-num_vars - 3, num_vars + 4))
+        assert [kern.model_value(l) for l in probes] == [
+            pure.model_value(l) for l in probes
+        ]
+        if results[0].status is True:
+            assert isinstance(results[0].values, bytes)
+            assert len(results[0].values) == num_vars + 3
+            assert results[0].model == {
+                v: results[0].values[v] == 1 for v in range(1, num_vars + 3)
+            }
+        else:
+            assert results[0].values == b"" and results[0].model == {}
+
+
+class _CountingDeadline:
+    """Never expires; counts how often ``expired`` is read."""
+
+    def __init__(self):
+        self.reads = 0
+
+    @property
+    def expired(self):
+        self.reads += 1
+        return False
+
+
+class _ScriptedDeadline:
+    """``expired`` is False for the first ``quota`` reads, then True."""
+
+    def __init__(self, quota):
+        self.quota = quota
+        self.reads = 0
+
+    @property
+    def expired(self):
+        self.reads += 1
+        self.quota -= 1
+        return self.quota < 0
+
+
+@needs_kernel
+class TestDeadlineChecks:
+    def _hard(self):
+        return TestBudgetsAndDeadlines()._pigeonhole(5)
+
+    def test_duck_typed_deadlines_are_read_at_the_same_points(self):
+        counts = []
+        for solver in _both():
+            counter = _CountingDeadline()
+            observation = _run(solver, self._hard(), deadline=counter)
+            counts.append((counter.reads, observation))
+        assert counts[1] == counts[0]
+        assert counts[0][0] > 10
+
+    @pytest.mark.parametrize("quota", [0, 1, 7, 40])
+    def test_scripted_deadline_stops_both_at_the_same_read(self, quota):
+        outcomes = []
+        for solver in _both():
+            deadline = _ScriptedDeadline(quota)
+            observation = _run(solver, self._hard(), deadline=deadline)
+            outcomes.append((deadline.reads, observation))
+        assert outcomes[1] == outcomes[0]
+        assert outcomes[0][1]["status"] is None
+        assert outcomes[0][0] == quota + 1
+
+    def test_real_deadlines_are_checked_in_the_kernel(self):
+        clauses = self._hard()
+        assert _run(CKernelSolver(), clauses, deadline=Deadline(None)) == _run(
+            PySolver(), clauses
+        )
+        assert _run(CKernelSolver(), clauses, deadline=Deadline(600.0)) == _run(
+            PySolver(), clauses
+        )
+        expired = Deadline(0.05)
+        expired._start -= 1.0
+        assert _run(CKernelSolver(), clauses, deadline=expired)["status"] is None
