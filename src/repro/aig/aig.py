@@ -75,6 +75,11 @@ class AIG:
         self._strash: Dict[Tuple[AigLiteral, AigLiteral], int] = {}
         self._inputs: List[int] = []
         self._latches: List[int] = []
+        # Inputs and latches together, in creation order: bit ``k`` of a
+        # support mask stands for ``self._sources[k]``.
+        self._sources: List[int] = []
+        # One support mask per node: the inputs/latches in its fanin.
+        self._masks: List[int] = [0]
         self._outputs: List[Tuple[str, AigLiteral]] = []
         self._input_names: Dict[str, int] = {}
 
@@ -143,6 +148,7 @@ class AIG:
             raise AigError(f"duplicate input name: {name!r}")
         self._nodes.append(_Node(NODE_INPUT, name=name))
         self._inputs.append(index)
+        self._add_source(index)
         self._input_names[name] = index
         return lit_make(index)
 
@@ -155,8 +161,13 @@ class AIG:
             raise AigError(f"duplicate latch name: {name!r}")
         self._nodes.append(_Node(NODE_LATCH, name=name, init_value=init_value))
         self._latches.append(index)
+        self._add_source(index)
         self._input_names[name] = index
         return lit_make(index)
+
+    def _add_source(self, index: int) -> None:
+        self._masks.append(1 << len(self._sources))
+        self._sources.append(index)
 
     def set_latch_next(self, latch_lit: AigLiteral, next_state: AigLiteral) -> None:
         index = lit_var(latch_lit)
@@ -190,6 +201,7 @@ class AIG:
             return lit_make(existing)
         index = len(self._nodes)
         self._nodes.append(_Node(NODE_AND, fanin0=key[0], fanin1=key[1]))
+        self._masks.append(self._masks[a >> 1] | self._masks[b >> 1])
         self._strash[key] = index
         return lit_make(index)
 
@@ -251,6 +263,26 @@ class AIG:
             result = self.lxor(result, lit)
         return result
 
+    # -- support masks -----------------------------------------------------------
+
+    def support_mask(self, lit: AigLiteral) -> int:
+        """Bit mask of the inputs/latches in the transitive fanin of ``lit``.
+
+        Bit ``k`` stands for the ``k``-th input or latch created; use
+        :meth:`mask_nodes` to decode a mask into node indices.
+        """
+        return self._masks[lit_var(lit)]
+
+    def mask_nodes(self, mask: int) -> List[int]:
+        """Input/latch node indices of a support mask, in creation order."""
+        sources = self._sources
+        nodes = []
+        while mask:
+            low = mask & -mask
+            nodes.append(sources[low.bit_length() - 1])
+            mask ^= low
+        return nodes
+
     # -- traversal ---------------------------------------------------------------
 
     def cone_nodes(self, roots: Iterable[AigLiteral]) -> List[int]:
@@ -306,6 +338,43 @@ class AIG:
                 f1 = self._map_literal(node.fanin1, cache)
                 cache[index] = target.add_and(f0, f1)
         return self._map_literal(root, cache)
+
+    def cofactor(self, root: AigLiteral, index: int, value: bool) -> AigLiteral:
+        """``root`` with the input/latch node ``index`` fixed to ``value``.
+
+        Only the nodes whose support contains ``index`` are re-created; every
+        other node is reused as it is.  They are created in the order
+        :meth:`copy_cone` would create them, so structural hashing returns
+        the literal a full copy of the cone onto itself would.
+        """
+        masks = self._masks
+        bit = masks[index]
+        if not masks[lit_var(root)] & bit:
+            return root
+        nodes = self._nodes
+        cache: Dict[int, AigLiteral] = {index: TRUE_LIT if value else FALSE_LIT}
+
+        def rebuilt(lit: AigLiteral) -> AigLiteral:
+            if masks[lit >> 1] & bit:
+                return cache[lit >> 1] ^ (lit & 1)
+            return lit
+
+        visited = {index}
+        # The traversal of :meth:`cone_nodes`, pruned at nodes outside the
+        # fanout of ``index``.
+        stack: List[Tuple[int, bool]] = [(lit_var(root), False)]
+        while stack:
+            current, processed = stack.pop()
+            node = nodes[current]
+            if processed:
+                cache[current] = self.add_and(rebuilt(node.fanin0), rebuilt(node.fanin1))
+            elif current not in visited:
+                visited.add(current)
+                stack.append((current, True))
+                for fanin in (node.fanin0, node.fanin1):
+                    if masks[fanin >> 1] & bit:
+                        stack.append((fanin >> 1, False))
+        return rebuilt(root)
 
     @staticmethod
     def _map_literal(lit: AigLiteral, cache: Dict[int, AigLiteral]) -> AigLiteral:

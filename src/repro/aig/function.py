@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from repro.aig.aig import AIG, AigLiteral, FALSE_LIT, TRUE_LIT, lit_neg
+from repro.aig.aig import AIG, AigLiteral, FALSE_LIT, NODE_LATCH, TRUE_LIT, lit_neg
 from repro.aig.cnf import CnfMapping, cone_to_cnf
 from repro.aig.simulate import exhaustive_patterns, simulate, simulate_words
 from repro.aig.support import functional_support, structural_support
@@ -27,8 +27,10 @@ class BooleanFunction:
         self.aig = aig
         self.root = root
         self.inputs: List[int] = list(inputs)
-        cone_inputs = set(structural_support(aig, root))
-        missing = cone_inputs - set(self.inputs)
+        # Memo of truth_table(): the AIG is append-only, so the cone of
+        # ``root`` never changes.
+        self._table: Optional[int] = None
+        missing = set(structural_support(aig, root)).difference(self.inputs)
         if missing:
             names = ", ".join(sorted(aig.input_name(i) for i in missing))
             raise AigError(f"function inputs do not cover the cone (missing: {names})")
@@ -50,8 +52,10 @@ class BooleanFunction:
             root = candidates[0]
         else:
             root = aig.outputs[output][1]
-        support = set(structural_support(aig, root))
-        ordered = [i for i in aig.inputs + aig.latches if i in support]
+        # Inputs first, then latches, each in creation order.
+        ordered = sorted(
+            structural_support(aig, root), key=lambda i: aig.node_kind(i) == NODE_LATCH
+        )
         return cls(aig, root, ordered)
 
     @classmethod
@@ -135,12 +139,13 @@ class BooleanFunction:
 
     def truth_table(self) -> int:
         """Exhaustive truth table as an integer bit mask (inputs in order)."""
-        if self.num_inputs > 24:
-            raise AigError("truth table requested for a function with > 24 inputs")
-        words, mask = exhaustive_patterns(self.num_inputs)
-        input_words = {node: words[i] for i, node in enumerate(self.inputs)}
-        (value,) = simulate_words(self.aig, input_words, [self.root], mask)
-        return value
+        if self._table is None:
+            if self.num_inputs > 24:
+                raise AigError("truth table requested for a function with > 24 inputs")
+            words, mask = exhaustive_patterns(self.num_inputs)
+            input_words = {node: words[i] for i, node in enumerate(self.inputs)}
+            (self._table,) = simulate_words(self.aig, input_words, [self.root], mask)
+        return self._table
 
     def count_minterms(self) -> int:
         """Number of satisfying input patterns (onset size)."""
@@ -165,9 +170,7 @@ class BooleanFunction:
     def cofactor(self, input_name: str, value: bool) -> "BooleanFunction":
         """Shannon cofactor with respect to the named input."""
         node = self.aig.input_by_name(input_name)
-        input_map = {i: (2 * i) for i in self.inputs}
-        input_map[node] = TRUE_LIT if value else FALSE_LIT
-        new_root = self.aig.copy_cone(self.root, self.aig, input_map)
+        new_root = self.aig.cofactor(self.root, node, value)
         remaining = [i for i in self.inputs if i != node]
         return BooleanFunction(self.aig, new_root, remaining)
 
@@ -278,14 +281,17 @@ class BooleanFunction:
 
     def _table_over(self, names: Sequence[str]) -> int:
         """Truth table with respect to an explicit (possibly larger) input order."""
+        if list(names) == self.input_names:
+            return self.truth_table()
         own = set(self.input_names)
         words, mask = exhaustive_patterns(len(names))
         input_words = {}
         for i, name in enumerate(names):
             if name in own:
                 input_words[self.aig.input_by_name(name)] = words[i]
+        order = set(names)
         for node in self.inputs:
-            if self.aig.input_name(node) not in set(names):
+            if self.aig.input_name(node) not in order:
                 raise AigError(
                     f"input {self.aig.input_name(node)} missing from comparison order"
                 )

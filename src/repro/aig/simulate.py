@@ -12,7 +12,8 @@ Two entry points are provided:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Sequence
+from functools import lru_cache
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from repro.errors import AigError
 from repro.aig.aig import (
@@ -70,24 +71,24 @@ def _edge_value(values: Dict[int, int], lit: AigLiteral, mask: int) -> int:
     return (value ^ mask) if lit_is_complemented(lit) else value
 
 
-def exhaustive_patterns(num_inputs: int) -> tuple[List[int], int]:
+@lru_cache(maxsize=None)
+def exhaustive_patterns(num_inputs: int) -> Tuple[Tuple[int, ...], int]:
     """Input words and mask enumerating all ``2 ** num_inputs`` patterns.
 
-    Returns a list with one word per input (input ``k`` toggles with period
+    Returns a tuple with one word per input (input ``k`` toggles with period
     ``2 ** k``) and the all-ones mask over ``2 ** num_inputs`` bits.  The
     words follow the usual truth-table convention: pattern index ``p`` assigns
-    input ``k`` the value of bit ``k`` of ``p``.
+    input ``k`` the value of bit ``k`` of ``p``.  Word ``k`` is one block of
+    ``2 ** (k + 1)`` bits, its upper half set, repeated across the mask.
+    The result is memoised and immutable.
     """
     if num_inputs < 0:
         raise AigError("num_inputs must be non-negative")
-    num_patterns = 1 << num_inputs
-    mask = (1 << num_patterns) - 1
+    mask = (1 << (1 << num_inputs)) - 1
     words = []
     for k in range(num_inputs):
-        period = 1 << k
-        word = 0
-        for pattern in range(num_patterns):
-            if (pattern >> k) & 1:
-                word |= 1 << pattern
-        words.append(word)
-    return words, mask
+        half = 1 << k
+        block = ((1 << half) - 1) << half
+        repunit = mask // ((1 << (2 * half)) - 1)
+        words.append(block * repunit)
+    return tuple(words), mask

@@ -23,32 +23,32 @@ def structural_support(aig: AIG, lit: AigLiteral) -> List[int]:
 
     The result is sorted by node index, i.e. by input creation order.
     """
-    return sorted(index for index in aig.cone_nodes([lit]) if aig.is_input(index))
+    return aig.mask_nodes(aig.support_mask(lit))
 
 
 def functional_support(aig: AIG, lit: AigLiteral, max_inputs: int = 20) -> List[int]:
     """Inputs the function of ``lit`` truly depends on.
 
-    Computed exactly by exhaustive bit-parallel simulation over the
+    Computed exactly from one exhaustive bit-parallel simulation over the
     structural support, which is practical for cones with at most
     ``max_inputs`` structural support variables (the default of 20 gives
     one-million-bit words).  For wider cones the structural support is
     returned unchanged, mirroring what SAT-based tools do in practice.
+
+    Input ``i`` (word ``w``, period ``2 ** i``) is essential iff some
+    pattern ``p`` with bit ``i`` clear has ``T[p] != T[p + 2 ** i]``, i.e.
+    iff ``((T >> 2 ** i) ^ T) & ~w`` is non-zero within the mask.
     """
     support = structural_support(aig, lit)
     if len(support) > max_inputs:
         return support
     words, mask = exhaustive_patterns(len(support))
-    input_words = {node: words[i] for i, node in enumerate(support)}
-    (base,) = simulate_words(aig, input_words, [lit], mask)
-    essential: List[int] = []
-    for i, node in enumerate(support):
-        flipped = dict(input_words)
-        flipped[node] = input_words[node] ^ mask
-        (value,) = simulate_words(aig, flipped, [lit], mask)
-        if value != base:
-            essential.append(node)
-    return essential
+    (table,) = simulate_words(aig, dict(zip(support, words)), [lit], mask)
+    return [
+        node
+        for i, (node, word) in enumerate(zip(support, words))
+        if ((table >> (1 << i)) ^ table) & (mask ^ word)
+    ]
 
 
 def max_output_support(aig: AIG) -> int:

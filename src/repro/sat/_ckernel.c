@@ -1512,6 +1512,8 @@ static PyMemberDef solver_members[] = {
      "0 once the clause database is unsatisfiable on its own."},
     {"reduce_base", T_LONGLONG, offsetof(CSolver, reduce_base), 0,
      "Learned-clause count that triggers a reduction (test hook)."},
+    {"var_inc", T_DOUBLE, offsetof(CSolver, var_inc), 0,
+     "VSIDS activity increment (test hook)."},
     {"conflicts", T_LONGLONG, offsetof(CSolver, conflicts), READONLY, NULL},
     {"decisions", T_LONGLONG, offsetof(CSolver, decisions), READONLY, NULL},
     {"propagations", T_LONGLONG, offsetof(CSolver, propagations), READONLY,

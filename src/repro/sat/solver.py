@@ -971,6 +971,16 @@ class CKernelSolver:
     def _reduce_base(self, value: int) -> None:
         self._c.reduce_base = value
 
+    @property
+    def _var_inc(self) -> float:
+        # Test hook, mirroring PySolver._var_inc (the VSIDS activity
+        # increment; activities rescale once one exceeds 1e100).
+        return self._c.var_inc
+
+    @_var_inc.setter
+    def _var_inc(self, value: float) -> None:
+        self._c.var_inc = value
+
     def new_var(self) -> int:
         return self._c.new_var()
 

@@ -1,12 +1,17 @@
 """Tests for the AIG data structure, simulation, support and CNF export."""
 
+import pickle
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.aig.aig import AIG, FALSE_LIT, TRUE_LIT, lit_neg, lit_var
 from repro.aig.cnf import cone_to_cnf
 from repro.aig.simulate import exhaustive_patterns, simulate, simulate_words
 from repro.aig.support import functional_support, max_output_support, structural_support
 from repro.errors import AigError
+from repro.io.bench import aig_to_bench, parse_bench
+from repro.io.blif import aig_to_blif, parse_blif
 from repro.sat.cnf import CNF
 from repro.sat.solver import Solver
 
@@ -265,3 +270,151 @@ class TestConeToCnf:
         solver = Solver()
         solver.add_cnf(cnf)
         assert solver.solve(assumptions=[-mapping.output_literal]).status is False
+
+
+# -- property tests: support masks, one-simulation support, patterns ----------
+
+MAX_SOURCES = 8
+
+
+@st.composite
+def aig_recipes(draw, max_steps=30):
+    """A recipe for :func:`build_aig`: a random AIG with complemented edges,
+    constant fanins and latches, its inputs and latches created between AND
+    nodes.  A recipe rebuilds the same graph, node for node, every time.
+
+    Every literal is drawn as ``x`` over the pool of literals built so far
+    (``FALSE``, ``TRUE``, then one per step): ``pool[x >> 1] ^ (x & 1)``.
+    Half the draws favour the four newest literals, which grows deep,
+    reconvergent cones instead of many shallow ones.
+    """
+
+    def edges(pool):
+        return st.one_of(
+            st.integers(0, 2 * pool - 1), st.integers(max(0, 2 * pool - 8), 2 * pool - 1)
+        )
+
+    steps = [("input",)]
+    sources = 1
+    for _ in range(draw(st.integers(0, max_steps))):
+        kinds = ["and"] * 4 + (["input", "latch"] if sources < MAX_SOURCES else [])
+        kind = draw(st.sampled_from(kinds))
+        if kind == "and":
+            edge = edges(2 + len(steps))
+            steps.append(("and", draw(edge), draw(edge)))
+        else:
+            steps.append((kind,))
+            sources += 1
+    edge = edges(2 + len(steps))
+    outputs = draw(st.lists(edge, min_size=1, max_size=3))
+    latches = sum(1 for step in steps if step[0] == "latch")
+    next_states = draw(st.lists(edge, min_size=latches, max_size=latches))
+    return steps, outputs, next_states
+
+
+def build_aig(recipe) -> AIG:
+    steps, outputs, next_states = recipe
+    aig = AIG("random")
+    pool = [FALSE_LIT, TRUE_LIT]
+    latches = []
+
+    def pick(x):
+        return pool[x >> 1] ^ (x & 1)
+
+    for step in steps:
+        if step[0] == "input":
+            pool.append(aig.add_input())
+        elif step[0] == "latch":
+            latches.append(aig.add_latch())
+            pool.append(latches[-1])
+        else:
+            pool.append(aig.add_and(pick(step[1]), pick(step[2])))
+    for position, x in enumerate(outputs):
+        aig.add_output(f"o{position}", pick(x))
+    for latch, x in zip(latches, next_states):
+        aig.set_latch_next(latch, pick(x))
+    return aig
+
+
+def cone_walk_support(aig: AIG, lit) -> list:
+    """The definition: inputs and latches met walking the cone of ``lit``."""
+    return sorted(index for index in aig.cone_nodes([lit]) if aig.is_input(index))
+
+
+def simulated_support(aig: AIG, lit) -> list:
+    """The definition: an input matters iff complementing it changes the table
+    (``n + 1`` simulations)."""
+    support = cone_walk_support(aig, lit)
+    words, mask = exhaustive_patterns(len(support))
+    input_words = dict(zip(support, words))
+    (base,) = simulate_words(aig, input_words, [lit], mask)
+    essential = []
+    for node in support:
+        flipped = dict(input_words)
+        flipped[node] ^= mask
+        if simulate_words(aig, flipped, [lit], mask)[0] != base:
+            essential.append(node)
+    return essential
+
+
+def assert_masks_match_cones(aig: AIG) -> None:
+    for index in range(aig.num_nodes):
+        for lit in (2 * index, 2 * index + 1):
+            assert structural_support(aig, lit) == cone_walk_support(aig, lit)
+
+
+class TestSupportProperties:
+    @settings(max_examples=80, deadline=None)
+    @given(aig_recipes())
+    def test_structural_support_is_the_cone_walk(self, recipe):
+        assert_masks_match_cones(build_aig(recipe))
+
+    @settings(max_examples=80, deadline=None)
+    @given(aig_recipes())
+    def test_functional_support_is_the_n_plus_one_simulation(self, recipe):
+        aig = build_aig(recipe)
+        for index in range(aig.num_nodes):
+            assert functional_support(aig, 2 * index) == simulated_support(aig, 2 * index)
+
+    @settings(max_examples=40, deadline=None)
+    @given(aig_recipes())
+    def test_masks_survive_pickle(self, recipe):
+        aig = pickle.loads(pickle.dumps(build_aig(recipe)))
+        assert_masks_match_cones(aig)
+        aig.add_output("late", aig.add_and(2 * aig.num_nodes - 2, aig.add_input("late_in")))
+        assert_masks_match_cones(aig)
+
+    @settings(max_examples=40, deadline=None)
+    @given(aig_recipes())
+    def test_masks_survive_make_combinational(self, recipe):
+        assert_masks_match_cones(build_aig(recipe).make_combinational())
+
+    @settings(max_examples=40, deadline=None)
+    @given(aig_recipes())
+    def test_masks_survive_bench_and_blif_round_trips(self, recipe):
+        aig = build_aig(recipe)
+        assert_masks_match_cones(parse_bench(aig_to_bench(aig)))
+        assert_masks_match_cones(parse_blif(aig_to_blif(aig)))
+
+    def test_masks_follow_source_creation_order(self):
+        aig = AIG()
+        a = aig.add_input("a")
+        g = aig.add_and(a, lit_neg(aig.add_latch("q")))
+        b = aig.add_input("b")
+        h = aig.add_and(g, b)
+        assert aig.support_mask(h) == 0b111
+        assert aig.support_mask(g) == 0b011
+        assert aig.mask_nodes(0b101) == [lit_var(a), lit_var(b)]
+        assert aig.support_mask(TRUE_LIT) == 0
+
+
+@pytest.mark.parametrize("num_inputs", range(11))
+def test_exhaustive_patterns_match_the_bit_loop(num_inputs):
+    words, mask = exhaustive_patterns(num_inputs)
+    patterns = range(1 << num_inputs)
+    assert mask == (1 << (1 << num_inputs)) - 1
+    assert isinstance(words, tuple)
+    assert words == tuple(
+        sum(1 << p for p in patterns if (p >> k) & 1) for k in range(num_inputs)
+    )
+    assert exhaustive_patterns(num_inputs) is exhaustive_patterns(num_inputs)

@@ -3,9 +3,12 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.aig.aig import AIG
+from repro.aig.aig import AIG, FALSE_LIT, TRUE_LIT
 from repro.aig.function import BooleanFunction
 from repro.errors import AigError
+
+from tests.reference import cofactor_table
+from tests.test_aig import aig_recipes, build_aig
 
 
 def _xor3():
@@ -211,3 +214,68 @@ class TestCnfExport:
             ]
             assumptions.append(mapping.output_literal if expected else -mapping.output_literal)
             assert solver.solve(assumptions=assumptions).status is True
+
+
+def _node_table(aig):
+    return [
+        aig.fanins(index) if aig.is_and(index) else aig.node_kind(index)
+        for index in range(aig.num_nodes)
+    ]
+
+
+class TestCofactorProperties:
+    @settings(max_examples=80, deadline=None)
+    @given(aig_recipes(), st.data())
+    def test_cofactor_matches_a_full_cone_copy(self, recipe, data):
+        # Two identical graphs: one cofactors in place, the other copies the
+        # whole cone onto itself.  Same literal, same nodes in the same order.
+        fanout_only, full_copy = build_aig(recipe), build_aig(recipe)
+        output = data.draw(st.integers(0, len(full_copy.outputs) - 1))
+        f = BooleanFunction.from_output(fanout_only, output)
+        reference = BooleanFunction.from_output(full_copy, output)
+        if f.num_inputs == 0:
+            return
+        position = data.draw(st.integers(0, f.num_inputs - 1))
+        value = data.draw(st.booleans())
+        table = f.truth_table()
+
+        cofactor = f.cofactor(f.input_names[position], value)
+        node = reference.inputs[position]
+        input_map = {i: 2 * i for i in reference.inputs}
+        input_map[node] = TRUE_LIT if value else FALSE_LIT
+        copied = full_copy.copy_cone(reference.root, full_copy, input_map)
+
+        assert cofactor.root == copied
+        assert _node_table(fanout_only) == _node_table(full_copy)
+        assert cofactor.truth_table() == cofactor_table(
+            table, f.num_inputs, position, value
+        )[0]
+
+    @settings(max_examples=40, deadline=None)
+    @given(aig_recipes())
+    def test_quantifiers_do_not_walk_cones(self, recipe):
+        # Cofactors, support checks and the functions they derive read
+        # the per-node support masks; only simulation walks a cone.
+        aig = build_aig(recipe)
+        f = BooleanFunction.from_output(aig, 0)
+        original = AIG.cone_nodes
+
+        def walk(self, roots):
+            raise AssertionError(f"cone walk from {roots}")
+
+        AIG.cone_nodes = walk
+        try:
+            g = f.exists(f.input_names[:1]).forall(f.input_names[1:2])
+            g.support(functional=False)
+            BooleanFunction.from_output(aig, 0)
+        finally:
+            AIG.cone_nodes = original
+
+
+def test_truth_table_is_simulated_once():
+    f = _majority3()
+    assert f.truth_table() == 0b11101000
+    f.aig = None  # a second simulation would need the graph
+    assert f.truth_table() == 0b11101000
+    assert f.is_constant() is None
+    assert f.count_minterms() == 4

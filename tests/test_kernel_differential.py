@@ -161,6 +161,44 @@ class TestLbdReductionDifferential:
         assert _run(kern, clauses) == _run(pure, clauses)
 
 
+@needs_kernel
+class TestActivityRescaleDifferential:
+    @pytest.mark.parametrize("trial", range(4))
+    def test_activity_rescales_keep_the_substrates_in_lockstep(self, trial):
+        # Every round starts both substrates two orders of magnitude below
+        # the 1e100 activity ceiling, so a few dozen conflicts rescale
+        # every activity (and the increment) by 1e-100.  Any divergence in
+        # the rescale or the heap order it feeds shows up as a mismatch.
+        num_vars = 80
+        clauses = random_3cnf(num_vars, int(num_vars * 4.2), f"rescale-diff-{trial}")
+        rng = deterministic_rng(f"rescale-assumptions-{trial}")
+        start, rounds = int(num_vars * 3.6), 4
+        chunk = (len(clauses) - start) // rounds
+        batches = [clauses[:start]] + [
+            clauses[start + i * chunk : start + (i + 1) * chunk] for i in range(rounds)
+        ]
+        pure, kern = PySolver(), CKernelSolver()
+        added = []
+        rescaled_rounds = 0
+        for batch in batches:
+            added.extend(batch)
+            pure._var_inc = kern._var_inc = 1e98
+            assert kern._var_inc == 1e98
+            assumptions = [
+                v if rng.random() < 0.5 else -v
+                for v in rng.sample(range(1, num_vars + 1), 3)
+            ]
+            expected = _run(pure, batch, assumptions)
+            assert _run(kern, batch, assumptions) == expected
+            assert kern._var_inc == pure._var_inc
+            if expected["status"] is True:
+                augmented = added + [(lit,) for lit in assumptions]
+                assert model_satisfies(expected["model"], augmented)
+            # Without a rescale the increment only grows.
+            rescaled_rounds += pure._var_inc < 1e98
+        assert rescaled_rounds >= 2
+
+
 FINGERPRINT_SCRIPT = """
 import json
 
