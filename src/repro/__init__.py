@@ -87,7 +87,7 @@ __all__ = [
     "ENGINES",
     "QBF_ENGINES",
     "OPERATORS",
-    # legacy surface (shims over the session API)
+    # engine and result types
     "BiDecomposer",
     "BiDecResult",
     "CircuitReport",

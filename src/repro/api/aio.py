@@ -1,9 +1,10 @@
 """``asyncio``-native sessions: ``await`` a decomposition, stream a suite.
 
-:class:`AsyncSession` is the event-loop front door over the same execution
-substrate the blocking :class:`repro.api.session.Session` uses — one
-long-lived :class:`repro.core.scheduler.LiveSuiteScheduler` on one
-executor backend — with the connection-oriented shape a server wants:
+:class:`AsyncSession` is the event-loop front door over the same driver
+the blocking :class:`repro.api.session.Session` runs each call on — a
+:class:`repro.core.scheduler.LiveSuiteScheduler`, here one long-lived
+instance on one executor backend — with the connection-oriented shape a
+server wants:
 
 * requests **join a live stream** (:meth:`AsyncSession.submit` returns an
   :class:`AsyncRequestHandle` immediately; jobs start competing for the
@@ -236,7 +237,6 @@ class AsyncSession:
             jobs=jobs,
             backend=backend,
             on_record=self._on_record_threadsafe,
-            cache_provider=self._provide_cache,
             metrics=metrics,
         )
 

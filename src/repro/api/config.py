@@ -119,15 +119,16 @@ class CachePolicy:
         so a request combining a cache directory with ``dedup=False`` is
         rejected at construction.
     cross_circuit_dedup:
-        Opt this request into the **suite-wide** cone store when it runs
-        inside a :meth:`repro.api.session.Session.submit` batch: a cone
-        solved in another opted-in request with the same search context
+        Opt this request into the cone store shared by every request on
+        one scheduler — a :meth:`repro.api.session.Session.submit` batch,
+        an :class:`repro.api.aio.AsyncSession` or a daemon: a cone solved
+        in another opted-in request with the same search context
         (operator, engine set, search options) replays for this request's
         structural twins, reported in ``schedule["cross_circuit_hits"]``.
         Off by default because a cross-circuit replay of a fanin-permuted
         twin can pick a different (equally valid) partition than a solo
-        search would, so only opted-in suite reports may diverge from solo
-        fingerprints.  Requires ``dedup``; a no-op outside suites.
+        search would, so only opted-in reports may diverge from solo
+        fingerprints.  Requires ``dedup``; a no-op for a lone request.
     max_entries:
         Compaction bound for the persistent snapshot: at save time the
         ``cone_cache.json`` is evicted down to this many entries,

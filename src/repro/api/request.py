@@ -1,19 +1,18 @@
 """The immutable decomposition request: one circuit, fully specified.
 
-A :class:`DecompositionRequest` is the typed replacement for the legacy
-``decompose_circuit(aig, operator, engines, circuit_timeout=..., jobs=...,
-dedup=..., seed=..., cache_dir=..., ...)`` kwarg sprawl.  Everything is
-validated at construction — the operator, every engine name (against the
-:mod:`engine registry <repro.api.registry>`), the budgets, the scheduler
-knobs — so a malformed request fails with a one-line
-:class:`repro.errors.ReproError` before any search starts.
+A :class:`DecompositionRequest` carries everything one circuit run needs
+as typed, immutable fields.  Everything is validated at construction —
+the operator, every engine name (against the :mod:`engine registry
+<repro.api.registry>`), the budgets, the scheduler knobs — so a malformed
+request fails with a one-line :class:`repro.errors.ReproError` before any
+search starts.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from repro.aig.aig import AIG
 from repro.api.config import Budgets, CachePolicy, Parallelism
@@ -117,65 +116,6 @@ class DecompositionRequest:
         # Fail fast on extraction/strategy typos too: EngineOptions validates
         # them, so a malformed request never survives construction.
         self.to_options()
-
-    @classmethod
-    def from_options(
-        cls,
-        circuit: AIG,
-        operator: str,
-        engines: Sequence[str],
-        options,
-        *,
-        circuit_timeout: Optional[float] = None,
-        max_outputs: Optional[int] = None,
-        name: Optional[str] = None,
-        jobs: Optional[int] = None,
-        dedup: Optional[bool] = None,
-        cache_dir: Optional[str] = None,
-    ) -> "DecompositionRequest":
-        """Build a request from a legacy ``EngineOptions`` (shim support).
-
-        ``jobs`` / ``dedup`` / ``cache_dir`` override the options' values,
-        mirroring the overrides ``decompose_circuit`` accepted.  Two legacy
-        quirks are preserved rather than rejected — the shim must not start
-        raising where the old surface did not: a cache directory combined
-        with ``dedup=False`` is dropped (the legacy surface silently
-        persisted nothing), and negative timeouts are clamped to ``0``
-        (legacy deadlines treated both as "already expired").
-        """
-        dedup_value = options.dedup if dedup is None else dedup
-        directory = options.cache_dir if cache_dir is None else cache_dir
-        if not dedup_value:
-            directory = None
-
-        def seconds(value: Optional[float]) -> Optional[float]:
-            return None if value is None else max(0.0, value)
-
-        return cls(
-            circuit=circuit,
-            operator=operator,
-            engines=tuple(engines),
-            budgets=Budgets(
-                per_call=seconds(options.per_call_timeout),
-                per_output=seconds(options.output_timeout),
-                per_circuit=seconds(circuit_timeout),
-            ),
-            parallelism=Parallelism(
-                jobs=options.jobs if jobs is None else jobs,
-                dedup=dedup_value,
-                seed=options.seed,
-            ),
-            cache=CachePolicy(directory=directory),
-            name=name,
-            max_outputs=max_outputs,
-            extract=options.extract,
-            verify=options.verify,
-            extraction=options.extraction,
-            qbf_strategy=options.qbf_strategy,
-            qbf_backend=options.qbf_backend,
-            min_support=options.min_support,
-            max_support=options.max_support,
-        )
 
     def validate_against(self, registry: EngineRegistry) -> None:
         """Re-check the engine set against a session-specific registry."""

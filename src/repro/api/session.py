@@ -1,19 +1,21 @@
 """The session facade: run one request, or stream a whole suite.
 
-:class:`Session` is the canonical entry point of the library (the legacy
-``BiDecomposer.decompose_circuit`` surface is a shim over it):
+:class:`Session` is the canonical blocking entry point of the library:
 
 * :meth:`Session.run` executes one
   :class:`repro.api.request.DecompositionRequest` and returns its
-  :class:`repro.core.result.CircuitReport` — exactly what the legacy call
-  produced, fingerprint-identical.
+  :class:`repro.core.result.CircuitReport`.
 * :meth:`Session.submit` + :meth:`Session.as_completed` execute a *suite*:
   every submitted circuit's outputs are sharded across **one** shared
-  worker pool (see :class:`repro.core.scheduler.SuiteScheduler`), and
-  finished :class:`repro.core.result.OutputResult`\\ s stream back as they
-  complete — from whichever circuit finished one, so a heavy circuit no
-  longer serialises the suite behind it.  Per-circuit reports are assembled
-  when the stream is drained (:meth:`Session.reports`).
+  executor, and finished :class:`repro.core.result.OutputResult`\\ s stream
+  back as they complete — from whichever circuit finished one, so a heavy
+  circuit no longer serialises the suite behind it.  Per-circuit reports
+  are assembled when the stream is drained (:meth:`Session.reports`).
+
+Both run their requests on a fresh
+:class:`repro.core.scheduler.LiveSuiteScheduler` per call — the same
+driver the asyncio session and the service daemon keep for their
+lifetime — so every front door produces the same reports.
 
 Requests are validated against the session's
 :class:`repro.api.registry.EngineRegistry` at run/submit time, so a
@@ -44,9 +46,10 @@ Example::
 from __future__ import annotations
 
 import os
+import queue
 from typing import Dict, Iterable, Iterator, List, Optional
 
-from repro.api.lifecycle import RequestTicket, TicketCounter
+from repro.api.lifecycle import STATE_FAILED, RequestTicket, TicketCounter
 from repro.api.registry import EngineRegistry, default_registry
 from repro.api.request import DecompositionRequest
 from repro.core.result import CircuitReport, OutputResult
@@ -59,29 +62,6 @@ from repro.utils.timer import monotonic
 _RUN_SECONDS = obs_registry().histogram(
     "repro_session_run_seconds", "blocking Session.run wall time"
 )
-
-
-def scheduler_for_request(request: DecompositionRequest, cache_provider=None):
-    """The per-request :class:`repro.core.scheduler.BatchScheduler`.
-
-    Shared by the blocking session, the asyncio session and the service
-    daemon, so every front door builds identical execution state for a
-    given request.
-    """
-    from repro.core.engine import BiDecomposer
-    from repro.core.scheduler import BatchScheduler
-
-    options = request.to_options()
-    return BatchScheduler(
-        BiDecomposer(options),
-        jobs=options.jobs,
-        dedup=options.dedup,
-        seed=options.seed,
-        cache_dir=options.cache_dir,
-        backend=request.parallelism.backend,
-        cache_max_entries=request.cache.max_entries,
-        cache_provider=cache_provider,
-    )
 
 
 def shared_cache_provider(store: Dict[str, object]):
@@ -108,11 +88,28 @@ def shared_cache_provider(store: Dict[str, object]):
 
 
 def unit_for_request(request: DecompositionRequest, cache_provider=None):
-    """One request as a :class:`repro.core.scheduler.SuiteUnit`."""
-    from repro.core.scheduler import SuiteUnit
+    """One request as a :class:`repro.core.scheduler.SuiteUnit`: its own
+    :class:`repro.core.scheduler.BatchScheduler` plus run parameters.
 
+    Shared by the blocking session, the asyncio session and the service
+    daemon, so every front door builds identical execution state for a
+    given request.
+    """
+    from repro.core.engine import BiDecomposer
+    from repro.core.scheduler import BatchScheduler, SuiteUnit
+
+    options = request.to_options()
+    planner = BatchScheduler(
+        BiDecomposer(options),
+        jobs=options.jobs,
+        dedup=options.dedup,
+        seed=options.seed,
+        cache_dir=options.cache_dir,
+        cache_max_entries=request.cache.max_entries,
+        cache_provider=cache_provider,
+    )
     return SuiteUnit(
-        scheduler=scheduler_for_request(request, cache_provider=cache_provider),
+        scheduler=planner,
         aig=request.circuit,
         operator=request.operator,
         engines=list(request.engines),
@@ -138,8 +135,9 @@ class Session:
     stats:
         Counters over the session's lifetime: ``runs`` (single-request
         executions), ``suites`` (drained ``submit`` batches) and
-        ``pools_created`` (worker pools forked by those suites — exactly
-        one per parallel suite, the "one pool for N circuits" guarantee).
+        ``pools_created`` (executor pools started for them — at most one
+        per call, the "one pool for N circuits" guarantee, and none for a
+        call that dispatched nothing).
     """
 
     def __init__(self, registry: Optional[EngineRegistry] = None) -> None:
@@ -237,33 +235,99 @@ class Session:
         self._tickets.append(ticket)
         return ticket
 
+    # -- execution ----------------------------------------------------------------
+
+    def _drain(
+        self, batch: List[DecompositionRequest], tickets: List[RequestTicket]
+    ) -> Iterator[OutputResult]:
+        """Run ``batch`` on one fresh live scheduler, yielding records as
+        jobs finish; returns once every ticket is terminal.
+
+        The executor is ``serial`` when no request asked for more than one
+        job — then each request runs to completion inside ``add_request``,
+        after the previous one finalized — and otherwise the strongest
+        backend any request asked for, sized to the largest ``jobs``.
+        Raises as soon as a request fails (its ticket is ``failed``); the
+        scheduler is closed either way, which cancels whatever had not
+        finished.
+        """
+        from repro.core.executors import BACKEND_SERIAL, strongest_backend
+        from repro.core.scheduler import LiveSuiteScheduler
+
+        jobs = max(request.parallelism.jobs for request in batch)
+        backend = BACKEND_SERIAL
+        if jobs > 1:
+            backend = strongest_backend(
+                request.parallelism.backend for request in batch
+            )
+        # Records in arrival order; None wakes the drain when a request
+        # ends (each request's records arrive before its terminal state).
+        arrived: "queue.SimpleQueue[Optional[OutputResult]]" = queue.SimpleQueue()
+
+        def on_transition(ticket: RequestTicket, _old: str, _new: str) -> None:
+            if ticket.terminal:
+                arrived.put(None)
+
+        for ticket in tickets:
+            ticket.add_listener(on_transition)
+        live = LiveSuiteScheduler(
+            jobs=jobs,
+            backend=backend,
+            pool_id=self._next_pool_id,
+            on_record=lambda _ticket, record: arrived.put(record),
+        )
+        self._next_pool_id += 1
+
+        def landed() -> Iterator[OutputResult]:
+            """The records that arrived so far; raises once a request failed."""
+            while not arrived.empty():
+                record = arrived.get()
+                if record is not None:
+                    yield record
+            for ticket in tickets:
+                if ticket.state == STATE_FAILED:
+                    raise DecompositionError(
+                        f"request {ticket.id} ({ticket.name}) failed: {ticket.error}"
+                    )
+
+        try:
+            for request, ticket in zip(batch, tickets):
+                unit = unit_for_request(request, cache_provider=self._provide_cache)
+                try:
+                    live.add_request(unit, ticket)
+                except Exception as exc:  # planning failed
+                    ticket.mark_failed(f"{type(exc).__name__}: {exc}")
+                    raise
+                yield from landed()
+            while not all(ticket.terminal for ticket in tickets):
+                record = arrived.get()
+                if record is not None:
+                    yield record
+                yield from landed()
+            # Records that landed after the last look but before the last
+            # request turned terminal.
+            yield from landed()
+        finally:
+            live.close()
+            self.stats["pools_created"] += live.pools_created
+        for ticket in tickets:
+            ticket.report.schedule["suite_size"] = len(batch)
+
     # -- single request -----------------------------------------------------------
 
     def run(self, request: DecompositionRequest) -> CircuitReport:
         """Execute one request and return its circuit report."""
         self._check_open()
         self._check(request)
-        scheduler = self._scheduler_for(request)
         self.stats["runs"] += 1
         ticket = self._issue_ticket(request)
-        ticket.mark_running()
         started = monotonic()
         try:
-            report = scheduler.run(
-                request.circuit,
-                request.operator,
-                list(request.engines),
-                circuit_timeout=request.budgets.per_circuit,
-                max_outputs=request.max_outputs,
-                circuit_name=request.name,
-            )
-        except Exception as exc:
-            ticket.mark_failed(f"{type(exc).__name__}: {exc}")
-            raise
+            for _record in self._drain([request], [ticket]):
+                pass
         finally:
             _RUN_SECONDS.observe(monotonic() - started)
-        ticket.mark_done(report)
-        return report
+        return ticket.report
 
     # -- suites -------------------------------------------------------------------
 
@@ -294,17 +358,16 @@ class Session:
     def as_completed(self) -> Iterator[OutputResult]:
         """Execute the pending suite, streaming records as they complete.
 
-        All pending requests are sharded over one worker pool sized to the
-        largest ``parallelism.jobs`` among them (sequential when that is 1).
-        Yield order under a parallel pool is completion order and therefore
-        machine-dependent; the *set* of records — and the per-circuit
-        reports afterwards — is deterministic and fingerprint-identical to
-        running each request individually.  Draining the stream assembles
-        the reports (:meth:`reports`) and clears the queue.
+        All pending requests share one executor sized to the largest
+        ``parallelism.jobs`` among them (serial when that is 1).  Yield
+        order under a parallel executor is completion order and therefore
+        machine-dependent; with one job it is submit order, then output
+        order for each request's searched cones, then its replayed
+        duplicates.  The *set* of records — and the per-circuit reports
+        afterwards — is deterministic and fingerprint-identical to running
+        each request individually.  Draining the stream assembles the
+        reports (:meth:`reports`) and clears the queue.
         """
-        from repro.core.executors import strongest_backend
-        from repro.core.scheduler import SuiteScheduler
-
         if not self._pending:
             return
         batch, self._pending = self._pending, []
@@ -312,42 +375,17 @@ class Session:
         # Invalidate until the drain completes: an abandoned stream must not
         # leave reports() silently answering with the previous suite.
         self._reports = None
-        units = [
-            unit_for_request(request, cache_provider=self._provide_cache)
-            for request in batch
-        ]
-        jobs = max(request.parallelism.jobs for request in batch)
-        # One suite runs on one substrate: the strongest backend any of
-        # the batched requests asked for.
-        backend = strongest_backend(
-            request.parallelism.backend for request in batch
-        )
-        suite = SuiteScheduler(
-            units, jobs=jobs, pool_id=self._next_pool_id, backend=backend
-        )
-        self._next_pool_id += 1
         try:
-            for slot, record in suite.stream():
-                tickets[slot].mark_running()
-                yield record
-        except GeneratorExit:
-            # Abandoned mid-drain: the batch never completed — the
-            # consumer walked away, which is a cancellation, not failure.
+            yield from self._drain(batch, tickets)
+        except BaseException:
+            # Abandoned mid-drain, or one request failed: every request
+            # that did not finish is cancelled, not failed — the failing
+            # request's ticket already says why.
             for ticket in tickets:
-                if not ticket.terminal:
-                    ticket.mark_cancelled()
+                ticket.mark_cancelled()
             raise
-        except Exception as exc:
-            for ticket in tickets:
-                if not ticket.terminal:
-                    ticket.mark_failed(f"{type(exc).__name__}: {exc}")
-            raise
-        self._reports = suite.reports()
-        for ticket, report in zip(tickets, self._reports):
-            ticket.mark_running()  # no-op unless the unit streamed nothing
-            ticket.mark_done(report)
+        self._reports = [ticket.report for ticket in tickets]
         self.stats["suites"] += 1
-        self.stats["pools_created"] += suite.pools_created
 
     def run_suite(
         self, requests: Iterable[DecompositionRequest]
@@ -384,6 +422,3 @@ class Session:
                 f"expected a DecompositionRequest, got {type(request).__name__}"
             )
         request.validate_against(self.registry)
-
-    def _scheduler_for(self, request: DecompositionRequest):
-        return scheduler_for_request(request, cache_provider=self._provide_cache)

@@ -3,9 +3,9 @@
 Public entry points:
 
 * :class:`repro.core.engine.BiDecomposer` — decompose a single function or
-  every primary output of a circuit with any of the engines the paper
-  compares (LJH, STEP-MG, STEP-QD, STEP-QB, STEP-QDB, plus the BDD
-  baseline).
+  one primary output with any of the engines the paper compares (LJH,
+  STEP-MG, STEP-QD, STEP-QB, STEP-QDB, plus the BDD baseline); whole
+  circuits run through :class:`repro.api.Session`.
 * :class:`repro.core.partition.VariablePartition` — a partition
   ``X = {XA | XB | XC}`` with the paper's quality metrics (disjointness,
   balancedness, weighted cost).
@@ -25,7 +25,7 @@ from repro.core.executors import (
     SerialBackend,
     ThreadBackend,
 )
-from repro.core.scheduler import BatchScheduler, OutputJob, SuiteScheduler, SuiteUnit
+from repro.core.scheduler import BatchScheduler, LiveSuiteScheduler, OutputJob, SuiteUnit
 from repro.core.network import DecompositionNode, RecursiveDecomposer, network_to_aig
 from repro.core.verify import verify_decomposition
 
@@ -46,8 +46,8 @@ __all__ = [
     "ThreadBackend",
     "ProcessBackend",
     "BatchScheduler",
+    "LiveSuiteScheduler",
     "OutputJob",
-    "SuiteScheduler",
     "SuiteUnit",
     "DecompositionNode",
     "RecursiveDecomposer",

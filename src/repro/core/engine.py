@@ -20,7 +20,6 @@ Engine          Partition search
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -33,7 +32,7 @@ from repro.core.extract import extract_functions
 from repro.core.ljh import ljh_decompose
 from repro.core.mus_partition import mus_decompose, mus_find_partition
 from repro.core.partition import VariablePartition
-from repro.core.result import BiDecResult, CircuitReport, OutputResult, SearchStatistics
+from repro.core.result import BiDecResult, OutputResult, SearchStatistics
 from repro.core.spec import (
     ENGINE_BDD,
     ENGINE_LJH,
@@ -132,7 +131,11 @@ def extract_and_verify(
 
 
 class BiDecomposer:
-    """Decompose functions, outputs or whole circuits with selected engines."""
+    """Decompose functions or single outputs with selected engines.
+
+    Whole circuits go through :class:`repro.api.Session`, whose scheduler
+    calls :meth:`decompose_output` once per planned job.
+    """
 
     def __init__(self, options: Optional[EngineOptions] = None) -> None:
         self.options = options or EngineOptions()
@@ -247,7 +250,7 @@ class BiDecomposer:
                 results[engine] = result
         return results
 
-    # -- outputs and circuits ---------------------------------------------------------
+    # -- outputs ----------------------------------------------------------------------
 
     def decompose_output(
         self,
@@ -286,64 +289,6 @@ class BiDecomposer:
             function, operator, engines, deadline=deadline
         )
         return record
-
-    def decompose_circuit(
-        self,
-        aig: AIG,
-        operator: str,
-        engines: Sequence[str],
-        circuit_timeout: Optional[float] = None,
-        max_outputs: Optional[int] = None,
-        circuit_name: Optional[str] = None,
-        jobs: Optional[int] = None,
-        dedup: Optional[bool] = None,
-        cache_dir: Optional[str] = None,
-    ) -> CircuitReport:
-        """Decompose every primary output of a circuit.
-
-        .. deprecated:: 1.1
-            This is a thin shim over the session API: it builds a
-            :class:`repro.api.DecompositionRequest` from the decomposer's
-            options (plus the per-call overrides) and runs it through a
-            :class:`repro.api.Session` — so its reports stay
-            fingerprint-identical to the canonical path.  New code should
-            construct the request directly; suites of circuits should go
-            through :meth:`repro.api.Session.submit`, which shards them
-            across one shared worker pool.
-
-        Sequential circuits are made combinational first (the ABC ``comb``
-        step of the paper's flow).  ``circuit_timeout`` mirrors the paper's
-        per-circuit budget: outputs past the deadline are skipped (and named
-        in ``report.schedule["skipped"]``).  The per-output work is planned
-        and executed by :class:`repro.core.scheduler.BatchScheduler`; the
-        report is fingerprint-identical for every (jobs, dedup) combination,
-        provided no engine call is truncated by its wall-clock budget and
-        duplicate cones are traversal-order-exact (see
-        ``docs/architecture.md``).
-        """
-        warnings.warn(
-            "BiDecomposer.decompose_circuit is deprecated; build a "
-            "repro.api.DecompositionRequest and run it through "
-            "repro.api.Session (Session.run / Session.submit)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.api.request import DecompositionRequest
-        from repro.api.session import Session
-
-        request = DecompositionRequest.from_options(
-            aig,
-            operator,
-            engines,
-            self.options,
-            circuit_timeout=circuit_timeout,
-            max_outputs=max_outputs,
-            name=circuit_name,
-            jobs=jobs,
-            dedup=dedup,
-            cache_dir=cache_dir,
-        )
-        return Session().run(request)
 
     # -- third-party engines ----------------------------------------------------------
 

@@ -1,24 +1,27 @@
-"""Pluggable execution backends for the batch and suite schedulers.
+"""Pluggable execution backends for the live scheduler.
 
-The schedulers in :mod:`repro.core.scheduler` are *planners*: they turn
-circuits into per-output jobs, dedup structurally identical cones and
-assemble reports.  Everything about **where** the surviving jobs run lives
-here, behind one small interface:
+The schedulers in :mod:`repro.core.scheduler` plan and dispatch: they
+turn circuits into per-output jobs, dedup structurally identical cones,
+order the survivors by weighted fair queueing and assemble reports.
+Everything about **where** a dispatched job runs lives here, behind one
+small interface:
 
-* :meth:`ExecutorBackend.start` receives the per-circuit execution
-  contexts — ``(aig, operator, engines, worker options, circuit_name)``
-  tuples, one per suite slot — and returns whether the substrate could be
-  brought up (``False`` sends the scheduler to its sequential fallback).
-* :meth:`ExecutorBackend.map_unordered` consumes job specs
-  ``(slot, index, output_name, seed, deadline)`` and yields
-  ``(slot, index, record)`` results as they complete, in whatever order
-  the substrate finishes them.
+* :meth:`ExecutorBackend.open` brings the substrate up empty and installs
+  the completion hook; ``False`` means the substrate cannot exist here and
+  the scheduler falls back to the serial backend.
+* :meth:`ExecutorBackend.add_context` registers one circuit's execution
+  context — ``(aig, operator, engines, worker options, circuit_name)`` —
+  under the slot the scheduler chose for it.
+* :meth:`ExecutorBackend.submit` schedules one job spec
+  ``(slot, index, output_name, seed, deadline)``; its ``(slot, index,
+  record, error)`` result arrives through the hook, from whatever thread
+  finished it.
 * :meth:`ExecutorBackend.shutdown` releases the substrate.
 
 Three implementations cover the useful points of the design space:
 
 ``SerialBackend``
-    Runs every job inline in dispatch order.  It is the deterministic
+    Runs every job inline inside ``submit``.  It is the deterministic
     reference: no pool, no threads, no pickling — but the *same* job
     protocol as the parallel backends, so differential tests compare all
     three over one code path.
@@ -26,16 +29,13 @@ Three implementations cover the useful points of the design space:
     A :class:`concurrent.futures.ThreadPoolExecutor`.  Jobs share the
     parent's memory (no pickling, plug-in engines just work) and threads
     are legal where ``multiprocessing`` is not — daemonic parents,
-    restricted sandboxes — which used to force those environments onto
-    the sequential path.  The engines are pure Python, so threads
-    interleave on the GIL rather than use extra cores; the win is
-    overlap of any C-level work plus substrate availability, not CPU
-    scaling.
+    restricted sandboxes.  Searches hold the GIL, so threads interleave
+    rather than use extra cores; the win is substrate availability, not
+    CPU scaling.
 ``ProcessBackend``
-    The ``multiprocessing`` pool (fork-preferred) that used to live
-    inline in ``core/scheduler.py``, moved here wholesale.  True CPU
-    parallelism; job identities cross the pipe, results come back
-    pickled.
+    The ``multiprocessing`` pool (fork-preferred).  True CPU parallelism;
+    each context crosses the pipe once per job as a pre-pickled blob and
+    results come back pickled.
 
 Every backend executes jobs through the same :func:`run_job` body under
 the same derived job seed, so for deterministic engines the three produce
@@ -49,9 +49,8 @@ from __future__ import annotations
 import multiprocessing
 import os
 import pickle
-import threading
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor, as_completed
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.aig.aig import AIG
@@ -100,9 +99,9 @@ def check_backend(name: str) -> str:
 def strongest_backend(names: Iterable[str]) -> str:
     """The most parallel backend among ``names`` (serial < thread < process).
 
-    Used by :meth:`repro.api.session.Session.as_completed`: one suite runs
-    on one substrate, so mixed requests are served by the strongest one
-    any of them asked for.
+    Used by :class:`repro.api.session.Session`: one drain runs on one
+    substrate, so mixed requests are served by the strongest one any of
+    them asked for.
     """
     strongest = BACKEND_SERIAL
     for name in names:
@@ -112,18 +111,21 @@ def strongest_backend(names: Iterable[str]) -> str:
     return strongest
 
 
-# One in-process runner context: a BiDecomposer plus everything
-# `decompose_output` needs, mirroring what `_worker_init` installs in a
-# pool worker.
+# One runner context: a BiDecomposer plus everything `decompose_output`
+# needs, built from an ExecutionContext by the in-process backends and by
+# pool workers alike.
 _RunnerContext = Tuple[BiDecomposer, AIG, str, List[str], str]
 
 
+def _runner(context: ExecutionContext) -> _RunnerContext:
+    """One BiDecomposer for one circuit context."""
+    aig, operator, engines, options, circuit_name = context
+    return (BiDecomposer(options), aig, operator, engines, circuit_name)
+
+
 def _build_runners(contexts: Sequence[ExecutionContext]) -> List[_RunnerContext]:
-    """One BiDecomposer per circuit context (in-process backends)."""
-    return [
-        (BiDecomposer(options), aig, operator, engines, circuit_name)
-        for aig, operator, engines, options, circuit_name in contexts
-    ]
+    """One runner per circuit context (``_worker_init``)."""
+    return [_runner(context) for context in contexts]
 
 
 def run_job(
@@ -167,43 +169,15 @@ class ExecutorBackend:
     what the scheduler reports in ``schedule["jobs"]`` (1 for the serial
     backend regardless of the requested count).
 
-    Two operating modes share one substrate:
-
-    * **Batch** (:meth:`start` + :meth:`map_unordered`) — all contexts and
-      jobs are known up front; results stream back through a blocking
-      generator.  This is what :class:`repro.core.scheduler.BatchScheduler`
-      and :class:`~repro.core.scheduler.SuiteScheduler` drive.
-    * **Live** (:meth:`open` + :meth:`add_context` + :meth:`submit`) —
-      the substrate is brought up empty and long-lived; circuit contexts
-      join incrementally (one per request) and every submitted job
-      delivers its result through a **non-blocking completion hook**
-      instead of a drain loop.  This is the seam the asyncio session and
-      the service daemon sit on
-      (:class:`repro.core.scheduler.LiveSuiteScheduler`).
+    The substrate is brought up empty and long-lived (:meth:`open`);
+    circuit contexts join incrementally (:meth:`add_context`, one per
+    request) and every submitted job delivers its result through a
+    **non-blocking completion hook** instead of a drain loop.
+    :class:`repro.core.scheduler.LiveSuiteScheduler` is the one caller.
     """
 
     name: str = ""
     workers: int = 1
-
-    def start(self, contexts: Sequence[ExecutionContext]) -> bool:
-        """Bring the substrate up; ``False`` means "fall back sequential"."""
-        raise NotImplementedError
-
-    def map_unordered(
-        self,
-        jobs: Sequence[JobSpec],
-        functions: Optional[Dict[Tuple[int, int], object]] = None,
-    ) -> Iterator[JobResult]:
-        """Run jobs, yielding ``(slot, index, record)`` as each completes.
-
-        ``functions`` optionally maps a job's ``(slot, index)`` identity to
-        its planner-extracted cone; in-process backends reuse it instead of
-        re-traversing the AIG, the process backend ignores it (cones do not
-        cross the pipe).
-        """
-        raise NotImplementedError
-
-    # -- live (incremental) mode ------------------------------------------------
 
     def open(self, on_done: CompletionHook) -> bool:
         """Bring the substrate up empty, for incremental submission.
@@ -215,12 +189,13 @@ class ExecutorBackend:
         """
         raise NotImplementedError
 
-    def add_context(self, context: ExecutionContext) -> int:
-        """Register one circuit context; returns its slot for job specs.
+    def add_context(self, slot: int, context: ExecutionContext) -> None:
+        """Register one circuit context under ``slot`` for job specs.
 
-        Slots are assigned monotonically per backend instance and never
-        reused, so a long-lived service can tell request N's jobs from
-        request M's even after N completed.
+        The caller assigns slots monotonically and never reuses one, so a
+        long-lived service can tell request N's jobs from request M's even
+        after N completed.  Callers serialise registration with
+        submission.
         """
         raise NotImplementedError
 
@@ -229,7 +204,10 @@ class ExecutorBackend:
 
         Non-blocking for the pooled backends.  The serial backend runs the
         job inline, so the hook fires before ``submit`` returns — callers
-        must tolerate synchronous completion.
+        must tolerate synchronous completion.  ``function`` optionally
+        supplies the cone the planner already extracted; in-process
+        backends reuse it, the process backend ignores it (cones do not
+        cross the pipe).
         """
         raise NotImplementedError
 
@@ -245,49 +223,29 @@ class SerialBackend(ExecutorBackend):
     def __init__(self, workers: int = 1) -> None:
         # Serial means serial: the requested worker count is ignored.
         self.workers = 1
-        self._contexts: Optional[List[_RunnerContext]] = None
+        self._contexts: Dict[int, _RunnerContext] = {}
         self._on_done: Optional[CompletionHook] = None
 
-    def start(self, contexts: Sequence[ExecutionContext]) -> bool:
-        self._contexts = _build_runners(contexts)
-        return True
-
     def open(self, on_done: CompletionHook) -> bool:
-        self._contexts = []
         self._on_done = on_done
         return True
 
-    def add_context(self, context: ExecutionContext) -> int:
-        assert self._contexts is not None, "open() must precede add_context()"
-        aig, operator, engines, options, circuit_name = context
-        self._contexts.append(
-            (BiDecomposer(options), aig, operator, engines, circuit_name)
-        )
-        return len(self._contexts) - 1
+    def add_context(self, slot: int, context: ExecutionContext) -> None:
+        self._contexts[slot] = _runner(context)
 
     def submit(self, job: JobSpec, function: Optional[object] = None) -> None:
-        assert self._contexts is not None and self._on_done is not None
+        assert self._on_done is not None, "open() must precede submit()"
         try:
             slot, index, record = run_job(self._contexts[job[0]], job, function)
-        except BaseException as exc:  # noqa: BLE001 - delivered, not swallowed
+        # Exception, not BaseException: an interrupt during an inline
+        # search must stop the caller, not become one request's failure.
+        except Exception as exc:  # noqa: BLE001 - delivered, not swallowed
             self._on_done(job[0], job[1], None, exc)
         else:
             self._on_done(slot, index, record, None)
 
-    def map_unordered(
-        self,
-        jobs: Sequence[JobSpec],
-        functions: Optional[Dict[Tuple[int, int], object]] = None,
-    ) -> Iterator[JobResult]:
-        assert self._contexts is not None, "start() must precede map_unordered()"
-        functions = functions or {}
-        for job in jobs:
-            yield run_job(
-                self._contexts[job[0]], job, functions.get((job[0], job[1]))
-            )
-
     def shutdown(self) -> None:
-        self._contexts = None
+        self._contexts = {}
 
 
 class ThreadBackend(ExecutorBackend):
@@ -298,40 +256,25 @@ class ThreadBackend(ExecutorBackend):
 
     def __init__(self, workers: int) -> None:
         self.workers = max(1, workers)
-        self._contexts: Optional[List[_RunnerContext]] = None
+        self._contexts: Dict[int, _RunnerContext] = {}
         self._executor: Optional[ThreadPoolExecutor] = None
         self._on_done: Optional[CompletionHook] = None
-        # add_context appends under this lock; submit reads by index only,
-        # which is safe against concurrent appends.
-        self._context_lock = threading.Lock()
 
-    def start(self, contexts: Sequence[ExecutionContext]) -> bool:
+    def open(self, on_done: CompletionHook) -> bool:
         try:
             self._executor = ThreadPoolExecutor(
                 max_workers=self.workers, thread_name_prefix="repro-exec"
             )
         except (OSError, RuntimeError):  # pragma: no cover - thread limits
             return False
-        self._contexts = _build_runners(contexts)
-        return True
-
-    def open(self, on_done: CompletionHook) -> bool:
-        if not self.start([]):
-            return False  # pragma: no cover - thread limits
         self._on_done = on_done
         return True
 
-    def add_context(self, context: ExecutionContext) -> int:
-        assert self._contexts is not None, "open() must precede add_context()"
-        aig, operator, engines, options, circuit_name = context
-        runner = (BiDecomposer(options), aig, operator, engines, circuit_name)
-        with self._context_lock:
-            self._contexts.append(runner)
-            return len(self._contexts) - 1
+    def add_context(self, slot: int, context: ExecutionContext) -> None:
+        self._contexts[slot] = _runner(context)
 
     def submit(self, job: JobSpec, function: Optional[object] = None) -> None:
-        assert self._executor is not None and self._contexts is not None
-        assert self._on_done is not None
+        assert self._executor is not None and self._on_done is not None
         on_done = self._on_done
         slot, index = job[0], job[1]
 
@@ -346,35 +289,24 @@ class ThreadBackend(ExecutorBackend):
         future = self._executor.submit(run_job, self._contexts[slot], job, function)
         future.add_done_callback(deliver)
 
-    def map_unordered(
-        self,
-        jobs: Sequence[JobSpec],
-        functions: Optional[Dict[Tuple[int, int], object]] = None,
-    ) -> Iterator[JobResult]:
-        assert self._executor is not None and self._contexts is not None
-        functions = functions or {}
-        futures = [
-            self._executor.submit(
-                run_job, self._contexts[job[0]], job, functions.get((job[0], job[1]))
-            )
-            for job in jobs
-        ]
-        for future in as_completed(futures):
-            yield future.result()
-
     def shutdown(self) -> None:
         if self._executor is not None:
-            # cancel_futures: a no-op after a full drain (nothing queued),
-            # but on an error/abandoned drain it discards unstarted jobs
-            # instead of blocking until every queued search finishes —
-            # mirroring ProcessBackend.terminate()'s promptness.
+            # cancel_futures: discard unstarted jobs instead of blocking
+            # until every queued search finishes — mirroring
+            # ProcessBackend.terminate()'s promptness.
             self._executor.shutdown(wait=True, cancel_futures=True)
             self._executor = None
-        self._contexts = None
+        self._contexts = {}
 
 
 class ProcessBackend(ExecutorBackend):
-    """The historical ``multiprocessing`` pool, owned by this module now."""
+    """The ``multiprocessing`` pool, fork-preferred.
+
+    ``start`` and ``map_unordered`` are the retired batch entry points
+    (contexts installed at fork time, results drained through
+    ``imap_unordered``); nothing in the library calls them any more, and
+    they go once the benchmark tracer stops naming them.
+    """
 
     name = BACKEND_PROCESS
 
@@ -382,8 +314,7 @@ class ProcessBackend(ExecutorBackend):
         self.workers = max(1, workers)
         self._pool = None
         self._on_done: Optional[CompletionHook] = None
-        self._blobs: List[bytes] = []
-        self._context_lock = threading.Lock()
+        self._blobs: Dict[int, bytes] = {}
 
     def start(self, contexts: Sequence[ExecutionContext]) -> bool:
         self._pool = _create_pool(self.workers, contexts)
@@ -396,22 +327,19 @@ class ProcessBackend(ExecutorBackend):
         self._on_done = on_done
         return True
 
-    def add_context(self, context: ExecutionContext) -> int:
+    def add_context(self, slot: int, context: ExecutionContext) -> None:
         """Register a context by pickling it ONCE into a reusable blob.
 
         Pool workers cannot be re-initialised after the fork, and which
-        worker picks up a given job is unknowable, so every live job ships
-        its context blob alongside the spec; workers unpickle it the first
+        worker picks up a given job is unknowable, so every job ships its
+        context blob alongside the spec; workers unpickle it the first
         time they see the slot and serve later jobs from a per-worker LRU
         (:func:`_live_worker_run`).  Pre-pickling here means the parent
         pays AIG serialisation once per request, and the pool's own
         argument pickling just copies bytes.
         """
         assert self._pool is not None, "open() must precede add_context()"
-        with self._context_lock:
-            slot = len(self._blobs)
-            self._blobs.append(pickle.dumps(context, pickle.HIGHEST_PROTOCOL))
-        return slot
+        self._blobs[slot] = pickle.dumps(context, pickle.HIGHEST_PROTOCOL)
 
     def submit(self, job: JobSpec, function: Optional[object] = None) -> None:
         # ``function`` is deliberately ignored: cones do not cross the pipe.
@@ -489,10 +417,10 @@ def _create_pool(worker_count: int, contexts: Sequence[ExecutionContext]):
 
     Returns ``None`` where no pool can exist (restricted sandboxes, or a
     daemonic parent process, which multiprocessing rejects via
-    AssertionError) so callers fall back to the sequential path — or pick
+    AssertionError) so callers fall back to the serial backend — or pick
     the :class:`ThreadBackend` up front, which those environments accept.
-    Exceptions raised *inside* jobs still propagate from the map calls,
-    exactly as they would from the sequential driver.
+    Exceptions raised *inside* jobs reach the completion hook through
+    ``apply_async``'s error callback.
     """
     try:
         context = multiprocessing.get_context("fork")
@@ -549,8 +477,7 @@ def _live_worker_run(token: Tuple[int, int], blob: bytes, job: JobSpec) -> JobRe
     """
     runner = _LIVE_RUNNERS.get(token)
     if runner is None:
-        aig, operator, engines, options, circuit_name = pickle.loads(blob)
-        runner = (BiDecomposer(options), aig, operator, engines, circuit_name)
+        runner = _runner(pickle.loads(blob))
         _LIVE_RUNNERS[token] = runner
         while len(_LIVE_RUNNERS) > _LIVE_RUNNER_CACHE_LIMIT:
             _LIVE_RUNNERS.popitem(last=False)

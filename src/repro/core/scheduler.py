@@ -1,56 +1,54 @@
-"""Batched multi-output decomposition scheduling.
+"""Multi-output decomposition scheduling: one planner, one live driver.
 
 The paper's STEP flow decomposes every primary output independently, which
 makes the circuit driver embarrassingly parallel and highly redundant:
 multi-output circuits routinely drive several outputs with structurally
-identical cones.  :class:`BatchScheduler` exploits both properties while
-preserving the sequential driver's results exactly:
+identical cones.  Two classes exploit both properties while preserving the
+sequential driver's results exactly:
 
-* **Planning** — every primary output becomes an :class:`OutputJob` carrying
-  its cone's structural signature (:func:`repro.aig.signature.cone_signature`),
-  a cost estimate (cone size) and a derived deterministic seed.
-* **Dedup** — jobs whose cones are structurally identical up to a
+* :class:`BatchScheduler` is the **per-request planner**.  Every primary
+  output becomes an :class:`OutputJob` carrying its cone's canonical
+  structural signature, a cost estimate (cone size) and a derived
+  deterministic seed.  Jobs whose cones are structurally identical up to a
   position-respecting input renaming share one partition search: the first
-  job computes, the rest *replay* the memoised result with input names mapped
-  positionally (extraction and verification re-run against the actual cone,
-  so the replayed ``fA``/``fB`` are exactly what a fresh run would build).
-* **Fan-out** — with ``jobs > 1`` the unique cones are dispatched to a
-  pluggable :class:`repro.core.executors.ExecutorBackend` (``serial``,
-  ``thread`` or ``process``), heaviest cone first; the single-process path
-  is the deterministic fallback (and every backend produces identical
+  job computes, the rest *replay* the memoised result with input names
+  mapped positionally (extraction and verification re-run against the
+  actual cone, so the replayed ``fA``/``fB`` are exactly what a fresh run
+  would build).  It also owns the persistent snapshot and report assembly.
+* :class:`LiveSuiteScheduler` is the **only driver**.  Requests join at any
+  time; each request's unique cones enter a weighted fair queue
+  (:class:`LiveFairQueue`) and are dispatched to one pluggable
+  :class:`repro.core.executors.ExecutorBackend` (``serial``, ``thread``
+  or ``process``), which is opened at the first dispatch.  The blocking
+  :class:`repro.api.session.Session` runs each call on a fresh one, the
+  asyncio session and the service daemon keep one for their lifetime.
+  Every backend produces identical
   :meth:`repro.core.result.CircuitReport.fingerprint` values, which the
-  differential tests assert).  The scheduler itself knows nothing about
-  pools, forks or threads — it emits ``(slot, index, output, seed,
-  deadline)`` job specs and absorbs ``(slot, index, record)`` results.
-* **Deadlines** — a circuit budget (``circuit_timeout``) is honoured on
-  *both* paths: every engine call runs under a sub-deadline capped by the
-  circuit's remaining time (the :class:`repro.utils.timer.Deadline` is
+  differential tests assert.
+
+Further properties of the live path:
+
+* **Deadlines** — a circuit budget (``circuit_timeout``) starts when the
+  request's first job dispatches, so queue wait behind other requests
+  costs it nothing.  Every engine call runs under a sub-deadline capped by
+  the circuit's remaining time (the :class:`repro.utils.timer.Deadline` is
   shipped to pool workers, whose monotonic clock is shared with the
-  parent), a worker whose job starts after expiry skips it immediately, and
-  the report names every budget-skipped output in
-  ``schedule["skipped"]``.
+  parent), a job that starts after expiry is skipped, and the report names
+  every budget-skipped output in ``schedule["skipped"]``.
 * **Persistence** — with ``cache_dir`` set, replayable cache entries are
   snapshotted to ``<cache_dir>/cone_cache.json`` keyed by (canonical
   signature, operator, engine set, options fingerprint); the next run over
   the same configuration warms its cache from the snapshot and reports the
   reuse in ``schedule["persistent_hits"]``.
-* **Suite sharding** — :class:`SuiteScheduler` takes the prepared jobs of
-  *several* circuits and shards them across **one** shared executor
-  backend, streaming each finished
-  :class:`repro.core.result.OutputResult` back as it completes.  One suite
-  sweep pays pool startup once instead of once per circuit, and a straggler
-  circuit's cones load-balance across workers that finished lighter
-  circuits' jobs.  This is the execution layer under
-  :meth:`repro.api.session.Session.submit`.
-* **Fair interleaving** — suite dispatch is weighted fair queueing over
-  the units, not a global heaviest-first sort: each unit's own jobs stay
-  heaviest-first, but units take turns in proportion to their
-  ``priority``, so one huge circuit no longer monopolises every worker
-  while the rest of the suite starves (:func:`fair_dispatch`).
-* **Cross-circuit dedup** — units that opt in
-  (``CachePolicy(cross_circuit_dedup=True)``) share one canonical-
-  signature cone store for the drain: a cone solved in circuit A replays
-  for its structural twin in circuit B (same search context), reported in
+* **Fair interleaving** — each request's own jobs go heaviest-first on a
+  parallel backend (output order on the serial one), and requests take
+  turns in proportion to their ``priority``, so one huge circuit does not
+  monopolise every worker while small requests starve.
+* **Cross-circuit dedup** — requests that opt in
+  (``CachePolicy(cross_circuit_dedup=True)``) share one canonical-signature
+  cone store per scheduler: a cone solved for circuit A replays for its
+  structural twin in circuit B (same search context), even while A's
+  search is still queued or in flight, reported in
   ``schedule["cross_circuit_hits"]``.  Off by default so solo fingerprints
   stay bit-identical.
 
@@ -59,7 +57,7 @@ their wall-clock budgets: a search truncated by ``per_call_timeout`` /
 ``output_timeout`` / ``circuit_timeout`` reflects machine load, and load
 differs between runs regardless of jobs count — timed-out results (and
 searches completed near the budget) can therefore differ run to run on the
-sequential path too.  Dedup is keyed by the *canonical* (fanin-commutative)
+serial backend too.  Dedup is keyed by the *canonical* (fanin-commutative)
 cone signature: for traversal-order-exact duplicates the replay is
 bit-for-bit what a fresh search would produce, while for merely
 fanin-permuted duplicates it is a valid partition of the same function that
@@ -73,8 +71,11 @@ bit-for-bit reproducible (:mod:`repro.utils.rng`).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+import threading
+from collections import deque
+from dataclasses import dataclass, field, replace
+from heapq import heappop, heappush
+from typing import Deque, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.aig.aig import AIG
 from repro.aig.function import BooleanFunction
@@ -87,7 +88,7 @@ from repro.core.engine import BiDecomposer, EngineOptions, extract_and_verify
 from repro.core.executors import (
     BACKEND_PROCESS,
     BACKEND_SERIAL,
-    ExecutionContext,
+    ExecutorBackend,
     check_backend,
     create_backend,
 )
@@ -105,11 +106,10 @@ from repro.utils.timer import Deadline, Stopwatch, monotonic
 PERSISTENT_CACHE_FILENAME = "cone_cache.json"
 
 # Fallback reasons recorded in ``CircuitReport.schedule["fallback"]`` when a
-# parallel run ends up on the sequential path.
+# jobs>1 request ends up running inline (never reported for jobs == 1).
 FALLBACK_DEADLINE = "deadline"
 FALLBACK_POOL_UNAVAILABLE = "pool-unavailable"
 FALLBACK_WARM_CACHE = "warm-cache"
-FALLBACK_SINGLE_JOB = "single-job"
 
 # Template stored in the cone cache: the primary job's input names (for the
 # positional rename) and its fully computed per-engine record.
@@ -185,10 +185,10 @@ class OutputJob:
 class PreparedRun:
     """One circuit's run state between planning and report assembly.
 
-    Produced by :meth:`BatchScheduler.prepare`, consumed by the execution
-    paths and :meth:`BatchScheduler.finalize`.  The split exists so that
-    :class:`SuiteScheduler` can prepare *several* circuits, interleave their
-    jobs on one pool, and still finalize each circuit's report exactly as a
+    Produced by :meth:`BatchScheduler.prepare`, consumed by
+    :class:`LiveSuiteScheduler` and :meth:`BatchScheduler.finalize`.  The
+    split lets the live scheduler interleave *several* circuits' jobs on
+    one executor and still finalize each circuit's report exactly as a
     standalone run would.
     """
 
@@ -203,24 +203,22 @@ class PreparedRun:
     context: str
     warmed: int
     max_outputs: Optional[int]
-    # Entries the suite's sequential path absorbed (and saved) into the
-    # persistent snapshot before finalize ran; counted into
-    # ``schedule["persistent_saved"]``.
-    saved_early: int = 0
 
 
 class BatchScheduler:
-    """Plan and execute per-output decomposition jobs for one circuit.
+    """Plan one circuit's per-output jobs and assemble its report.
+
+    The per-request planner under :class:`LiveSuiteScheduler`, which
+    executes what it plans.
 
     Parameters
     ----------
     decomposer:
         The :class:`BiDecomposer` whose options and per-output pipeline the
-        scheduler delegates to; ``scheduler.run(...)`` returns the same
-        :class:`CircuitReport` the decomposer's sequential driver would.
+        planner delegates to.
     jobs:
-        Worker processes; ``1`` keeps everything in-process (deterministic
-        fallback).
+        The request's worker count; ``schedule["requested_jobs"]``
+        reports it, and above 1 planning computes dispatch costs.
     dedup:
         Memoise structurally identical cones (see module docstring).
     seed:
@@ -228,10 +226,6 @@ class BatchScheduler:
     cache_dir:
         Directory for the persistent (cross-run) cone cache; ``None`` keeps
         the cache in-memory only.  Only meaningful with ``dedup``.
-    backend:
-        Executor backend for ``jobs > 1`` runs — ``"serial"``, ``"thread"``
-        or ``"process"`` (see :mod:`repro.core.executors`).  All three are
-        fingerprint-identical; ``jobs = 1`` never touches a backend.
     cache_max_entries:
         Persistent-cache compaction bound: at save time the snapshot is
         evicted down to this many entries, least-recently-hit first
@@ -253,7 +247,6 @@ class BatchScheduler:
         dedup: bool = True,
         seed: int | str | None = 0,
         cache_dir: Optional[str] = None,
-        backend: str = BACKEND_PROCESS,
         cache_max_entries: Optional[int] = None,
         cache_provider=None,
     ) -> None:
@@ -264,7 +257,6 @@ class BatchScheduler:
         self.dedup = dedup
         self.seed = seed
         self.cache_dir = cache_dir
-        self.backend = check_backend(backend)
         self.cache_max_entries = cache_max_entries
         self._cache_provider = cache_provider
 
@@ -302,7 +294,7 @@ class BatchScheduler:
             cache_key = None
             cost = 0
             # The signature serves dedup keys and parallel dispatch costs;
-            # a plain sequential no-dedup run needs neither.
+            # a one-job no-dedup run needs neither.
             if searchable and (self.dedup or self.jobs > 1):
                 signature = canonical_cone_signature(
                     function.aig, function.root, function.inputs
@@ -400,19 +392,16 @@ class BatchScheduler:
         cache = prepared.cache
         report.schedule = {
             # "jobs" is the worker count the run actually used: the pool
-            # size on the parallel path, 1 whenever the scheduler fell back
-            # to (or was forced onto) the sequential path.
+            # size when its jobs went to a pooled executor, 1 whenever
+            # they ran (or replayed) inline.
             "jobs": used_workers or 1,
             "requested_jobs": self.jobs,
-            # Which executor backend a parallel run would use (and, when
-            # used_workers > 0, actually did).
-            "backend": self.backend,
             "planned": len(prepared.jobs),
             "executed": len(records),
             # Outputs the circuit budget cut off (never planned, or planned
             # but not started before expiry), in output order.
             "skipped": [name for name in considered if name not in executed_names],
-            # Why a jobs>1 request ran sequentially (None when it did not).
+            # Why a jobs>1 request ran inline (None when it did not).
             "fallback": fallback,
             "unique_cones": len(cache),
             "cache_hits": cache.hits,
@@ -439,46 +428,9 @@ class BatchScheduler:
                 prepared.persistent.save()
             report.schedule["persistent_hits"] = cache.warm_hits
             report.schedule["persistent_loaded"] = prepared.warmed
-            report.schedule["persistent_saved"] = prepared.saved_early + saved
+            report.schedule["persistent_saved"] = saved
         _count_cache_activity(report.schedule)
         return report
-
-    # -- execution ----------------------------------------------------------------
-
-    def run(
-        self,
-        aig: AIG,
-        operator: str,
-        engines: Sequence[str],
-        circuit_timeout: Optional[float] = None,
-        max_outputs: Optional[int] = None,
-        circuit_name: Optional[str] = None,
-    ) -> CircuitReport:
-        """Decompose every primary output and assemble the circuit report."""
-        prepared = self.prepare(
-            aig,
-            operator,
-            engines,
-            circuit_timeout=circuit_timeout,
-            max_outputs=max_outputs,
-            circuit_name=circuit_name,
-        )
-        records: Dict[int, OutputResult] = {}
-        used_workers = 0
-        fallback: Optional[str] = None
-        if self.jobs > 1:
-            if prepared.deadline is not None and prepared.deadline.expired:
-                # The budget was consumed by planning alone; forking a pool
-                # just to have every worker skip its job would be waste.
-                fallback = FALLBACK_DEADLINE
-            elif len(prepared.jobs) <= 1:
-                # Nothing to fan out: the circuit planned at most one job.
-                fallback = FALLBACK_SINGLE_JOB
-            else:
-                used_workers, fallback = self._run_parallel(prepared, records)
-        if not used_workers:
-            self._run_sequential(prepared, records)
-        return self.finalize(prepared, records, used_workers, fallback)
 
     def _open_persistent_cache(
         self, operator: str, engines: List[str]
@@ -502,13 +454,6 @@ class BatchScheduler:
         if self._cache_provider is not None:
             return self._cache_provider(path, self.cache_max_entries), context
         return PersistentConeCache(path, max_entries=self.cache_max_entries), context
-
-    def _run_sequential(
-        self, prepared: PreparedRun, records: Dict[int, OutputResult]
-    ) -> None:
-        """In-process execution in output order (mirrors the legacy driver)."""
-        for _record in self.execute_local(prepared, prepared.jobs, records):
-            pass
 
     def _execute_job(
         self,
@@ -539,7 +484,7 @@ class BatchScheduler:
             cache.store(job.cache_key, (job.input_names, record))
         return record
 
-    # -- pool plumbing shared with SuiteScheduler ---------------------------------
+    # -- execution plumbing for the live driver ----------------------------------
 
     def split_for_pool(
         self, prepared: PreparedRun
@@ -582,9 +527,9 @@ class BatchScheduler:
         """Parent-side completion of a worker-computed record.
 
         Extracts (and optionally verifies) ``fA``/``fB`` against the
-        parent's AIG and mirrors the sequential path's cache accounting
+        parent's AIG and mirrors :meth:`_execute_job`'s cache accounting
         (one miss, then the store) so hit/miss counters are identical for
-        any jobs count.
+        any backend and jobs count.
         """
         if self._decomposer.options.extract:
             self._extract_record(prepared.aig, job, prepared.operator, record)
@@ -601,11 +546,10 @@ class BatchScheduler:
     ) -> Iterator[OutputResult]:
         """Run jobs in-process in the given order, yielding each record.
 
-        Serves both the sequential path (all jobs) and the follower replay
-        after a pool run: ``_execute_job`` replays on a cache hit; when a
-        follower's primary record was not cached (budget-truncated or
-        skipped), it recomputes with a fresh budget — exactly as the
-        sequential path would.
+        The follower replay once a request's dispatched jobs are back:
+        ``_execute_job`` replays on a cache hit; when a follower's primary
+        record was not cached (budget-truncated or skipped), it recomputes
+        with a fresh budget — exactly as a fresh run would.
         """
         for job in jobs:
             if prepared.deadline is not None and prepared.deadline.expired:
@@ -621,75 +565,6 @@ class BatchScheduler:
             )
             records[job.index] = record
             yield record
-
-    def _run_parallel(
-        self, prepared: PreparedRun, records: Dict[int, OutputResult]
-    ) -> Tuple[int, Optional[str]]:
-        """Fan unique cones out to the executor backend; replay duplicates
-        locally.
-
-        Returns ``(worker_count, fallback_reason)``: the backend's
-        effective worker count on success, or ``0`` plus the reason when
-        the run belongs on the sequential path instead — the backend could
-        not start (no process pool in restricted environments), or every
-        cone replays from the warmed persistent cache and spinning up an
-        executor would be pure overhead.
-
-        Stop-at-expiry semantics under a circuit ``deadline``: the deadline
-        object is shipped with every job (wall-clock deadlines compare the
-        shared system monotonic clock, so parent and workers agree on
-        expiry), a job that starts after expiry yields a skip marker
-        instead of searching, and engine calls inside a job run under
-        sub-deadlines capped by the circuit's remaining time.  Which jobs
-        get skipped depends on dispatch order and worker load — the
-        sequential path skips in output order instead — but on budgets
-        generous enough that nothing is truncated both paths skip nothing
-        and stay fingerprint-identical.
-        """
-        primaries, followers = self.split_for_pool(prepared)
-        if not primaries:
-            # Everything replays from the warmed cache; no executor needed.
-            return 0, FALLBACK_WARM_CACHE
-
-        # Heaviest cones first so stragglers start early (cost-ordered
-        # scheduling); results are placed back by output index.
-        dispatch = sorted(primaries, key=lambda job: (-job.cost, job.index))
-        backend = create_backend(self.backend, min(self.jobs, len(dispatch)))
-        contexts: List[ExecutionContext] = [
-            (
-                prepared.aig,
-                prepared.operator,
-                prepared.engines,
-                self.worker_options(),
-                prepared.report.circuit,
-            )
-        ]
-        if not backend.start(contexts):
-            return 0, FALLBACK_POOL_UNAVAILABLE
-        try:
-            job_of = {job.index: job for job in dispatch}
-            for _slot, index, record in backend.map_unordered(
-                [
-                    (0, job.index, job.output_name, job.seed, prepared.deadline)
-                    for job in dispatch
-                ],
-                # In-process backends reuse the planner's extracted cones;
-                # the process backend ignores this (workers rebuild them).
-                functions={
-                    (0, job.index): job.function
-                    for job in dispatch
-                    if job.function is not None
-                },
-            ):
-                if record is None:
-                    continue  # budget-skipped in the worker
-                self.absorb_worker_record(prepared, job_of[index], record)
-                records[index] = record
-        finally:
-            backend.shutdown()
-        for _record in self.execute_local(prepared, followers, records):
-            pass
-        return backend.workers, None
 
     def _extract_record(
         self, aig: AIG, job: OutputJob, operator: str, record: OutputResult
@@ -760,19 +635,20 @@ class BatchScheduler:
 
 @dataclass
 class SuiteUnit:
-    """One circuit's slice of a suite run: a scheduler plus run parameters.
+    """One request as the live scheduler sees it: a planner plus run
+    parameters.
 
-    The suite layer deliberately couples each circuit to its *own*
+    Each request is deliberately coupled to its *own*
     :class:`BatchScheduler` (options, dedup cache, persistent snapshot,
-    seed) so a suite run stays fingerprint-identical to running each
-    circuit individually — only the executor backend is shared.
+    seed) so it stays fingerprint-identical to running it alone — only the
+    executor backend is shared.
 
-    ``priority`` weights the unit in the suite's fair dispatch: a unit of
-    priority 2 is charged half as much virtual time per cone as a unit of
-    priority 1, so its jobs reach workers roughly twice as often.
-    ``cross_dedup`` opts the unit into the suite-wide cone store (a cone
-    solved by any opted-in unit with the same search context replays for
-    this unit's structural twins).
+    ``priority`` weights the unit in the fair queue: a unit of priority 2
+    is charged half as much virtual time per cone as a unit of priority 1,
+    so its jobs reach workers roughly twice as often.  ``cross_dedup``
+    opts the unit into the scheduler-wide cone store (a cone solved by any
+    opted-in unit with the same search context replays for this unit's
+    structural twins).
     """
 
     scheduler: BatchScheduler
@@ -787,7 +663,7 @@ class SuiteUnit:
 
 
 class _CrossUnitCache:
-    """A unit's cone-cache view coupled to a suite-wide shared store.
+    """A unit's cone-cache view coupled to a scheduler-wide shared store.
 
     Wraps the unit's own :class:`repro.aig.signature.ConeCache` (all
     per-unit accounting — hits, misses, warm hits, entry count — still
@@ -809,7 +685,7 @@ class _CrossUnitCache:
         self._shared = shared
         self._context = context
         self.cross_hits = 0
-        # Entries the unit already holds when it joins the suite store —
+        # Entries the unit already holds when it joins the shared store —
         # cones warmed from its persistent snapshot during prepare() —
         # become cross-circuit replayable too (only replayable entries are
         # ever persisted, so publishing them is always safe).
@@ -883,438 +759,33 @@ class _CrossUnitCache:
         return merged
 
 
-def fair_dispatch(
-    queues: Sequence[Sequence[OutputJob]], priorities: Sequence[float]
-) -> List[Tuple[int, OutputJob]]:
-    """Weighted fair interleaving of per-unit job queues.
-
-    Each unit's jobs are kept in its solo dispatch order (heaviest cone
-    first, ties by output index); *between* units the sequence is weighted
-    fair queueing: dispatching a job charges its unit ``(cost + 1) /
-    priority`` units of virtual time, and the next job dispatched is
-    always the one with the smallest virtual finish time anywhere (ties
-    broken by submit slot).  Compared with the old global heaviest-first
-    sort, a unit with many heavy cones no longer pushes every other
-    unit's jobs to the back of the dispatch sequence — light units get
-    workers early in proportion to their priority, which is what bounds
-    a small request's latency when it shares a suite with a monster.
-
-    The sequence is a pure function of (costs, indices, priorities):
-    deterministic, and identical for every backend.  O(N log U) for N jobs
-    over U units: a heap of per-unit virtual finish times, one push/pop
-    per dispatched job.
-    """
-    from heapq import heapify, heappop, heappush
-
-    ordered = [
-        sorted(queue, key=lambda job: (-job.cost, job.index)) for queue in queues
-    ]
-    position = [0] * len(ordered)
-    # (virtual finish time of the unit's NEXT job, slot): popping the heap
-    # minimum IS the linear "smallest finish anywhere, ties by slot" rule.
-    heap = [
-        (float(queue[0].cost + 1) / priorities[slot], slot)
-        for slot, queue in enumerate(ordered)
-        if queue
-    ]
-    heapify(heap)
-    dispatch: List[Tuple[int, OutputJob]] = []
-    while heap:
-        finish, slot = heappop(heap)
-        queue = ordered[slot]
-        dispatch.append((slot, queue[position[slot]]))
-        position[slot] += 1
-        if position[slot] < len(queue):
-            next_cost = queue[position[slot]].cost + 1
-            heappush(heap, (finish + next_cost / priorities[slot], slot))
-    return dispatch
-
-
-class SuiteScheduler:
-    """Shard the outputs of several circuits across ONE shared executor.
-
-    Where ``BatchScheduler.run`` starts an executor per circuit, the suite
-    scheduler prepares every unit first, then dispatches *all* their unique
-    cones — interleaved fairly across units (:func:`fair_dispatch`) — to a
-    single backend, so a benchmark sweep pays executor startup once and
-    cross-circuit load imbalance is absorbed by whichever workers free up
-    first.  Followers (in-run duplicates and persistent-cache hits) replay
-    locally per unit, exactly as in a standalone run, which keeps every
-    unit's report fingerprint-identical to its individual
-    ``decompose_circuit`` result.
-
-    :meth:`stream` is a generator yielding ``(unit_index, OutputResult)``
-    pairs as jobs complete; with ``jobs > 1`` the order is completion order
-    (nondeterministic), with ``jobs = 1`` it is submit × output order.  The
-    *content* — each record and each finalized report — is deterministic
-    either way.  Reports are assembled once the stream is drained.
-
-    Each report's ``schedule`` gains ``shared_pool`` (whether the unit's
-    jobs ran on the suite executor), ``pool_id`` (the same identifier
-    across every unit of one suite — the "exactly one executor" witness),
-    ``suite_size``, ``backend`` and ``priority`` — plus
-    ``cross_circuit_dedup`` / ``cross_circuit_hits`` for units that opted
-    into the suite-wide cone store; ``pools_created`` on the scheduler
-    records how many executors the whole suite started (0 on the
-    sequential path, never more than 1).
-    """
-
-    def __init__(
-        self,
-        units: Sequence[SuiteUnit],
-        jobs: int = 1,
-        pool_id: int = 0,
-        backend: str = BACKEND_PROCESS,
-    ) -> None:
-        if jobs < 1:
-            raise DecompositionError("jobs must be at least 1")
-        for unit in units:
-            if not unit.priority > 0:
-                raise DecompositionError(
-                    f"unit priority must be > 0 (got {unit.priority!r})"
-                )
-        self.units = list(units)
-        self.jobs = jobs
-        self.pool_id = pool_id
-        self.backend = check_backend(backend)
-        self.pools_created = 0
-        self.worker_count = 0
-        self._reports: Optional[List[CircuitReport]] = None
-
-    def reports(self) -> List[CircuitReport]:
-        """Per-unit reports, in submit order; requires a drained stream."""
-        if self._reports is None:
-            raise DecompositionError(
-                "suite reports are assembled when the job stream is drained; "
-                "iterate stream() (or call run()) first"
-            )
-        return self._reports
-
-    def run(self) -> List[CircuitReport]:
-        """Drain the stream and return the per-unit reports."""
-        for _ in self.stream():
-            pass
-        return self.reports()
-
-    @staticmethod
-    def _arm_deadline(ready: PreparedRun, budget_left: Optional[float]) -> None:
-        """Restart a unit's circuit budget the moment its jobs can run.
-
-        ``budget_left`` is what the budget had left right after the unit's
-        own planning; arming from that snapshot (rather than the live
-        deadline) is idempotent, so the sequential fallback after a failed
-        pool creation re-arms to the same remaining budget, not less.
-        """
-        if ready.deadline is not None and budget_left is not None:
-            ready.deadline = Deadline(budget_left)
-
-    @staticmethod
-    def _share_persistent_caches(prepared: List[PreparedRun]) -> None:
-        """Point units with one snapshot path at ONE in-memory instance.
-
-        Suite units prepare (and therefore load the snapshot) before any of
-        them runs; with per-unit instances the *last* finalize's save would
-        rewrite the file from a copy loaded before the other units absorbed
-        their entries, dropping them.  Sharing the instance makes each save
-        cumulative — the per-circuit sequential flow built that up by
-        construction (load N+1 happened after save N).  Warming already
-        happened against identical loaded state, so reports are unaffected.
-        """
-        shared: Dict[str, PersistentConeCache] = {}
-        for ready in prepared:
-            if ready.persistent is None:
-                continue
-            path = os.path.abspath(ready.persistent.path)
-            if path in shared:
-                ready.persistent = shared[path]
-            else:
-                shared[path] = ready.persistent
-
-    def stream(self) -> Iterator[Tuple[int, OutputResult]]:
-        """Execute the suite, yielding ``(unit_index, record)`` as completed."""
-        prepared: List[PreparedRun] = []
-        budgets_left: List[Optional[float]] = []
-        for unit in self.units:
-            ready = unit.scheduler.prepare(
-                unit.aig,
-                unit.operator,
-                unit.engines,
-                circuit_timeout=unit.circuit_timeout,
-                max_outputs=unit.max_outputs,
-                circuit_name=unit.circuit_name,
-            )
-            prepared.append(ready)
-            # A unit's circuit budget must pay for its own planning and
-            # execution — never for the time *other* units spend running
-            # before it.  Snapshot what is left right after planning and
-            # re-arm the deadline when this unit's jobs can actually start
-            # (_arm_deadline); otherwise earlier units' execution would
-            # drain later units' budgets and suite reports would diverge
-            # from solo runs.
-            budgets_left.append(
-                None if ready.deadline is None else ready.deadline.remaining()
-            )
-        records: List[Dict[int, OutputResult]] = [{} for _ in self.units]
-        self._share_persistent_caches(prepared)
-        # Units that opted into cross-circuit dedup look their cones up in
-        # a suite-wide store as well as their own cache; everything any
-        # opted-in unit computes (or warms from disk) under the same
-        # search context becomes replayable for the others.
-        shared_cones: Dict[tuple, object] = {}
-        for unit, ready in zip(self.units, prepared):
-            if unit.cross_dedup and ready.cache.enabled:
-                ready.cache = _CrossUnitCache(
-                    ready.cache, shared_cones, ready.context
-                )
-        used_workers = 0
-        fallback: Optional[str] = None
-
-        # A suite on the serial backend takes the sequential path outright:
-        # inline execution cannot overlap units, so arming every circuit
-        # budget "concurrently" at executor start would make earlier units'
-        # inline searches drain later units' budgets — the sequential path
-        # below re-arms each budget when that unit actually starts, exactly
-        # like a solo run.
-        if self.jobs > 1 and self.backend != BACKEND_SERIAL:
-            splits = [
-                unit.scheduler.split_for_pool(ready)
-                for unit, ready in zip(self.units, prepared)
-            ]
-            # Weighted fair interleaving across units (each unit's own jobs
-            # stay heaviest-first); deterministic dispatch sequence, though
-            # arrival order still varies with worker load.
-            dispatch = fair_dispatch(
-                [primaries for primaries, _ in splits],
-                [unit.priority for unit in self.units],
-            )
-            dispatch, cross_followers, needs, provider_key = (
-                self._cross_dedup_dispatch(dispatch, prepared)
-            )
-            if sum(len(ready.jobs) for ready in prepared) <= 1:
-                fallback = FALLBACK_SINGLE_JOB
-            elif not dispatch:
-                fallback = FALLBACK_WARM_CACHE
-            else:
-                contexts: List[ExecutionContext] = [
-                    (
-                        ready.aig,
-                        ready.operator,
-                        ready.engines,
-                        unit.scheduler.worker_options(),
-                        ready.report.circuit,
-                    )
-                    for unit, ready in zip(self.units, prepared)
-                ]
-                backend = create_backend(
-                    self.backend, min(self.jobs, len(dispatch))
-                )
-                if not backend.start(contexts):
-                    fallback = FALLBACK_POOL_UNAVAILABLE
-                else:
-                    self.pools_created += 1
-                    self.worker_count = backend.workers
-                    used_workers = backend.workers
-                    # Backend units execute concurrently: every budget
-                    # starts now.
-                    for slot, ready in enumerate(prepared):
-                        self._arm_deadline(ready, budgets_left[slot])
-                    job_of = {(slot, job.index): job for slot, job in dispatch}
-                    followers_of = [followers for _, followers in splits]
-                    pending = [0] * len(self.units)
-                    for slot, _job in dispatch:
-                        pending[slot] += 1
-                    replayed = [False] * len(self.units)
-                    # Keys whose provider job has come back (with a record
-                    # or a skip marker — either way, waiting longer is
-                    # pointless).
-                    done_keys: set = set()
-
-                    def replay_ready_units():
-                        """Replay followers of every unit with nothing left
-                        in flight.
-
-                        A unit is ready once its own primaries have all
-                        arrived AND every provider its cross twins wait on
-                        has come back — never later, so its circuit budget
-                        does not pay for unrelated units' remaining
-                        searches.  Cross twins replay first (adopting the
-                        provider's entry as the unit's local primary), then
-                        the unit's own followers replay against it exactly
-                        as in a solo run.
-                        """
-                        for slot in range(len(self.units)):
-                            if (
-                                replayed[slot]
-                                or pending[slot]
-                                or not needs[slot] <= done_keys
-                            ):
-                                continue
-                            replayed[slot] = True
-                            for record in self.units[slot].scheduler.execute_local(
-                                prepared[slot],
-                                cross_followers[slot] + followers_of[slot],
-                                records[slot],
-                            ):
-                                yield slot, record
-
-                    # Units needing nothing from the backend — and nothing
-                    # from other units' in-flight searches — replay their
-                    # followers now, before their budgets are spent waiting
-                    # on other units.
-                    yield from replay_ready_units()
-                    try:
-                        for slot, index, record in backend.map_unordered(
-                            [
-                                (
-                                    slot,
-                                    job.index,
-                                    job.output_name,
-                                    job.seed,
-                                    prepared[slot].deadline,
-                                )
-                                for slot, job in dispatch
-                            ],
-                            # In-process backends reuse the planner's cones;
-                            # the process backend ignores this.
-                            functions={
-                                (slot, job.index): job.function
-                                for slot, job in dispatch
-                                if job.function is not None
-                            },
-                        ):
-                            pending[slot] -= 1
-                            key = provider_key.get((slot, index))
-                            if key is not None:
-                                done_keys.add(key)
-                            if record is not None:
-                                job = job_of[(slot, index)]
-                                self.units[slot].scheduler.absorb_worker_record(
-                                    prepared[slot], job, record
-                                )
-                                records[slot][index] = record
-                                yield slot, record
-                            yield from replay_ready_units()
-                    finally:
-                        backend.shutdown()
-                    # A full drain leaves nothing behind: the last arrival
-                    # completed every unit's pending count and provider
-                    # set, so every unit replayed inside the loop.
-
-        if not used_workers:
-            # Sequential path: submit order, then output order (the exact
-            # execution a per-circuit sequential run would perform).
-            for slot, ready in enumerate(prepared):
-                scheduler = self.units[slot].scheduler
-                self._arm_deadline(ready, budgets_left[slot])
-                if ready.persistent is not None:
-                    # Earlier units may have absorbed entries into the shared
-                    # snapshot; re-warm so this unit replays them — exactly
-                    # what the legacy run-per-circuit flow got by loading
-                    # the snapshot after the previous circuit saved it.
-                    ready.warmed = ready.persistent.warm(ready.cache, ready.context)
-                for record in scheduler.execute_local(ready, ready.jobs, records[slot]):
-                    yield slot, record
-                if ready.persistent is not None:
-                    # Absorb (and save) now so the next unit's re-warm sees
-                    # this unit's entries; finalize counts saved_early into
-                    # schedule["persistent_saved"] and only rewrites the
-                    # snapshot if anything new appeared since.
-                    ready.saved_early = ready.persistent.absorb(
-                        ready.cache, ready.context
-                    )
-                    if ready.saved_early or ready.persistent.dirty:
-                        ready.persistent.save()
-
-        base_extra: Dict[str, object] = {
-            "shared_pool": used_workers > 0,
-            "pool_id": self.pool_id if used_workers else None,
-            "suite_size": len(self.units),
-            # The suite's backend overrides the per-unit scheduler's: one
-            # suite runs on one substrate.
-            "backend": self.backend,
-        }
-        reports: List[CircuitReport] = []
-        for slot, (unit, ready) in enumerate(zip(self.units, prepared)):
-            extra = dict(base_extra)
-            extra["priority"] = unit.priority
-            if isinstance(ready.cache, _CrossUnitCache):
-                extra["cross_circuit_dedup"] = True
-                extra["cross_circuit_hits"] = ready.cache.cross_hits
-            reports.append(
-                unit.scheduler.finalize(
-                    ready, records[slot], used_workers, fallback, extra_schedule=extra
-                )
-            )
-        self._reports = reports
-
-    def _cross_dedup_dispatch(
-        self,
-        dispatch: List[Tuple[int, OutputJob]],
-        prepared: List[PreparedRun],
-    ) -> Tuple[
-        List[Tuple[int, OutputJob]],
-        List[List[OutputJob]],
-        List[set],
-        Dict[Tuple[int, int], tuple],
-    ]:
-        """Dedup the dispatch sequence across opted-in units.
-
-        The first dispatched job of each ``(search context, cone key)``
-        pair stays on the backend; later structural twins from *other*
-        opted-in units are pulled out and replayed locally once the
-        provider's record lands in the suite-wide store (in-unit twins
-        were already split off as followers).  Units that did not opt in
-        are passed through untouched.
-
-        Returns ``(kept_dispatch, cross_followers, needs, provider_key)``:
-        ``needs[slot]`` is the set of shared-store keys whose provider jobs
-        must come back before the unit's local replays can run, and
-        ``provider_key`` maps a provider job's ``(slot, index)`` identity
-        to the key it provides — the drain loop's readiness bookkeeping.
-        """
-        cross_followers: List[List[OutputJob]] = [[] for _ in self.units]
-        needs: List[set] = [set() for _ in self.units]
-        provider_key: Dict[Tuple[int, int], tuple] = {}
-        if not any(unit.cross_dedup for unit in self.units):
-            return dispatch, cross_followers, needs, provider_key
-        providers: Dict[tuple, Tuple[int, int]] = {}
-        kept: List[Tuple[int, OutputJob]] = []
-        for slot, job in dispatch:
-            if self.units[slot].cross_dedup and job.cache_key is not None:
-                key = (prepared[slot].context, job.cache_key)
-                if key in providers:
-                    cross_followers[slot].append(job)
-                    needs[slot].add(key)
-                    provider_key[providers[key]] = key
-                    continue
-                providers[key] = (slot, job.index)
-            kept.append((slot, job))
-        return kept, cross_followers, needs, provider_key
+def heaviest_first(jobs: Sequence[OutputJob]) -> List[OutputJob]:
+    """A unit's dispatch order on a parallel backend: heaviest cone first
+    (stragglers start early), ties by output index."""
+    return sorted(jobs, key=lambda job: (-job.cost, job.index))
 
 
 class LiveFairQueue:
     """Incremental weighted fair queueing over per-unit job queues.
 
-    The live counterpart of :func:`fair_dispatch`: units *join* (and
-    leave) while dispatch is in flight, so the whole sequence can never be
-    computed up front.  The virtual-time rule is the same — dispatching a
-    job charges its unit ``(cost + 1) / priority`` — with one addition: a
-    unit that joins mid-stream starts its virtual clock at the **current**
-    global virtual time, so it competes fairly from now on instead of
-    retroactively (it can neither starve incumbents by back-dating its
-    backlog nor be starved by theirs).
+    Dispatching a job charges its unit ``(cost + 1) / priority`` units of
+    virtual time, and the next job dispatched is always the one with the
+    smallest virtual finish time anywhere (ties broken by slot).  Units
+    *join* (and leave) while dispatch is in flight; a unit that joins
+    mid-stream starts its virtual clock at the **current** global virtual
+    time, so it competes fairly from now on instead of retroactively (it
+    can neither starve incumbents by back-dating its backlog nor be starved
+    by theirs).  When every unit joins before the first pop, the sequence
+    is a pure function of (costs, order, priorities).
 
     Not thread-safe on its own; :class:`LiveSuiteScheduler` serialises
     access under its lock.
     """
 
     def __init__(self) -> None:
-        from collections import deque
-
-        self._deque = deque  # constructor cached for add_unit
         self._virtual = 0.0
         self._heap: List[Tuple[float, int, int]] = []
-        self._queues: Dict[int, object] = {}
+        self._queues: Dict[int, Deque[OutputJob]] = {}
         self._priorities: Dict[int, float] = {}
         self._seq = 0
 
@@ -1326,11 +797,9 @@ class LiveFairQueue:
     ) -> None:
         """Enqueue a unit's jobs (kept in the given order) at weight
         ``priority``."""
-        from heapq import heappush
-
         if not jobs:
             return
-        self._queues[slot] = self._deque(jobs)
+        self._queues[slot] = deque(jobs)
         self._priorities[slot] = priority
         self._seq += 1
         finish = self._virtual + (jobs[0].cost + 1) / priority
@@ -1341,8 +810,6 @@ class LiveFairQueue:
 
         Entries whose unit was removed (cancelled) are skipped lazily.
         """
-        from heapq import heappop, heappush
-
         while self._heap:
             finish, slot, _seq = heappop(self._heap)
             queue = self._queues.get(slot)
@@ -1391,6 +858,11 @@ class _LiveUnit:
     # forget() was requested while jobs were still in flight; the entry
     # is dropped when the last one lands.
     forgotten: bool = False
+    # Cross-circuit dedup: shared-store keys this unit's queued or
+    # in-flight jobs will provide (by output index), and keys whose
+    # providers (other units' jobs) it waits on before it can complete.
+    provides: Dict[int, tuple] = field(default_factory=dict)
+    needs: Set[tuple] = field(default_factory=set)
 
     def release(self) -> None:
         """Drop the heavy per-run state once the request is terminal (a
@@ -1403,14 +875,14 @@ class _LiveUnit:
 
 
 class LiveSuiteScheduler:
-    """A long-lived, incrementally fed fair scheduler over ONE executor.
+    """An incrementally fed fair scheduler over ONE executor.
 
-    Where :class:`SuiteScheduler` executes a *closed* batch (every unit
-    known before the first job dispatches), the live scheduler is the
-    **open** counterpart the asyncio session and the service daemon sit
-    on: it brings one executor backend up in live mode
-    (:meth:`repro.core.executors.ExecutorBackend.open`) and keeps it warm
-    for its whole lifetime, while requests
+    The only driver of the library: the blocking session runs every call
+    on a fresh instance, the asyncio session and the service daemon keep
+    one for their lifetime.  Its executor backend
+    (:meth:`repro.core.executors.ExecutorBackend.open`) comes up at the
+    first dispatch — a request that dispatches nothing never starts a
+    pool — and stays warm until :meth:`close`, while requests
 
     * **join** at any time (:meth:`add_request`) — the unit is planned,
       its unique cones enter the live fair queue
@@ -1419,18 +891,22 @@ class LiveSuiteScheduler:
     * **cancel** cooperatively (:meth:`cancel`) — queued jobs are
       dropped, in-flight jobs finish but their results are discarded,
       and no other request is perturbed;
-    * **complete** independently — once a unit's primaries are back its
-      followers replay locally and its report finalizes exactly as a
-      standalone run's would (same per-unit cache, deadline and seed
-      machinery, so fingerprints match solo runs).
+    * **complete** independently — once a unit's primaries are back (and
+      every cross-circuit twin it waits on) its followers replay locally
+      and its report finalizes exactly as a standalone run's would (same
+      per-unit cache, deadline and seed machinery, so fingerprints match
+      solo runs).
+
+    On the serial backend a request runs to completion inside
+    :meth:`add_request`, so requests submitted one after another plan
+    after the previous one finalized and warm from its snapshot entries.
 
     Results are pushed, not pulled: job completions arrive through the
     executor's non-blocking hook, and the scheduler surfaces them through
     the per-request :class:`repro.api.lifecycle.RequestTicket` (state
     transitions, final report, failure) plus an optional ``on_record``
-    callback per finished output.  Callbacks fire under the scheduler
-    lock from executor threads — they must not block (the async session
-    only posts to its event loop).
+    callback per finished output.  Callbacks fire from executor threads,
+    some under the scheduler lock — they must not block.
 
     One request's failure marks *its* ticket ``failed`` and releases its
     state; the executor, the other requests and the daemon all keep
@@ -1443,11 +919,8 @@ class LiveSuiteScheduler:
         backend: str = BACKEND_PROCESS,
         pool_id: int = 0,
         on_record=None,
-        cache_provider=None,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
-        import threading
-
         if jobs < 1:
             raise DecompositionError("jobs must be at least 1")
         self.jobs = jobs
@@ -1456,10 +929,9 @@ class LiveSuiteScheduler:
         self.pools_created = 0
         self.worker_count = 0
         self._on_record = on_record
-        self._cache_provider = cache_provider
         # Observability sink.  The daemon passes its own registry so two
         # services in one process keep separate per-client series; the
-        # embedded async session defaults to the process-wide registry.
+        # sessions default to the process-wide registry.
         self.metrics = metrics if metrics is not None else obs_registry()
         self._queue_wait = self.metrics.histogram(
             "repro_fair_queue_wait_seconds",
@@ -1470,13 +942,19 @@ class LiveSuiteScheduler:
             "primary jobs handed to the live executor, by backend",
         )
         self._lock = threading.RLock()
-        self._backend_impl = None
+        self._backend_impl: Optional[ExecutorBackend] = None
         self._fallback: Optional[str] = None
         self._queue = LiveFairQueue()
         self._units: Dict[int, _LiveUnit] = {}
+        self._next_slot = 0
         self._inflight_total = 0
         self._pumping = False
         self._closed = False
+        # Cross-circuit dedup: the scheduler-wide cone store, and for every
+        # store key whose provider job is queued or in flight, the slots of
+        # the units waiting on it.
+        self._shared_cones: Dict[tuple, object] = {}
+        self._providers: Dict[tuple, List[int]] = {}
         self.stats: Dict[str, int] = {
             "submitted": 0,
             "completed": 0,
@@ -1487,20 +965,17 @@ class LiveSuiteScheduler:
 
     # -- lifecycle ----------------------------------------------------------------
 
-    def _ensure_open(self) -> None:
-        if self._backend_impl is not None:
-            return
-        from repro.core.executors import create_backend as _create
-
-        backend = _create(self.backend, self.jobs)
+    def _open_backend(self) -> None:
+        """Start the executor (lock held): called at the first dispatch."""
+        backend = create_backend(self.backend, self.jobs)
         if backend.open(self._on_job_done):
             if self.backend != BACKEND_SERIAL:
                 self.pools_created += 1
         else:
             # No process pool in this environment: degrade to inline
-            # execution, report it per-request like the batch path does.
+            # execution and report it per request.
             self._fallback = FALLBACK_POOL_UNAVAILABLE
-            backend = _create(BACKEND_SERIAL, 1)
+            backend = create_backend(BACKEND_SERIAL, 1)
             backend.open(self._on_job_done)
         self._backend_impl = backend
         self.worker_count = backend.workers
@@ -1529,23 +1004,18 @@ class LiveSuiteScheduler:
     def add_request(self, unit: SuiteUnit, ticket) -> int:
         """Plan one request and enter it into the live dispatch stream.
 
-        Returns the request's executor slot.  Planning (cone extraction,
-        dedup splitting, persistent-cache warm) happens here, on the
-        caller's thread — **outside** the scheduler lock, so a large
-        circuit's planning never stalls other requests' completion hooks
-        (the shared persistent cache has its own lock); only queue entry
-        and context registration are serialised.
+        Returns the request's slot.  Planning (cone extraction, dedup
+        splitting, persistent-cache warm) happens here, on the caller's
+        thread — **outside** the scheduler lock, so a large circuit's
+        planning never stalls other requests' completion hooks (the shared
+        persistent cache has its own lock); only queue entry is
+        serialised.
         """
         if not unit.priority > 0:
             raise DecompositionError(
                 f"unit priority must be > 0 (got {unit.priority!r})"
             )
-        with self._lock:
-            if self._closed:
-                raise DecompositionError(
-                    "the live scheduler is closed; no further requests"
-                )
-            self._ensure_open()
+        self._check_open()
         prepared = unit.scheduler.prepare(
             unit.aig,
             unit.operator,
@@ -1554,50 +1024,91 @@ class LiveSuiteScheduler:
             max_outputs=unit.max_outputs,
             circuit_name=unit.circuit_name,
         )
-        primaries, followers = unit.scheduler.split_for_pool(prepared)
-        dispatch = sorted(primaries, key=lambda job: (-job.cost, job.index))
-        state = _LiveUnit(
-            unit=unit,
-            prepared=prepared,
-            ticket=ticket,
-            followers=followers,
-            job_of={job.index: job for job in dispatch},
-            records={},
-            queued=len(dispatch),
-            # The circuit budget must not pay for queue wait behind other
-            # clients: snapshot what planning left and re-arm the deadline
-            # when the unit's jobs actually reach the executor (_pump) —
-            # the live analogue of SuiteScheduler._arm_deadline.
-            budget_left=(
-                None if prepared.deadline is None else prepared.deadline.remaining()
-            ),
-            enqueued_at=monotonic(),
+        # The circuit budget must not pay for queue wait behind other
+        # clients: snapshot what planning left and re-arm the deadline when
+        # the unit's jobs actually reach the executor (_arm).
+        budget_left = (
+            None if prepared.deadline is None else prepared.deadline.remaining()
         )
         with self._lock:
-            if self._closed:
-                raise DecompositionError(
-                    "the live scheduler is closed; no further requests"
+            self._check_open()
+            if unit.cross_dedup and prepared.cache.enabled:
+                prepared.cache = _CrossUnitCache(
+                    prepared.cache, self._shared_cones, prepared.context
                 )
-            slot = self._backend_impl.add_context(
-                (
-                    prepared.aig,
-                    prepared.operator,
-                    prepared.engines,
-                    unit.scheduler.worker_options(),
-                    prepared.report.circuit,
-                )
+            primaries, followers = unit.scheduler.split_for_pool(prepared)
+            if budget_left == 0.0:
+                # Planning consumed the budget: nothing may run, and no
+                # executor starts just to skip every job.
+                primaries = []
+            slot = self._next_slot
+            self._next_slot += 1
+            state = _LiveUnit(
+                unit=unit,
+                prepared=prepared,
+                ticket=ticket,
+                followers=followers,
+                job_of={},
+                records={},
+                budget_left=budget_left,
+                enqueued_at=monotonic(),
             )
+            dispatch = self._cross_dedup(state, slot, primaries)
+            # Cross twins replay before the unit's own duplicates of them.
+            followers.sort(key=lambda job: job.index)
+            if self.jobs > 1 and self.backend != BACKEND_SERIAL:
+                dispatch = heaviest_first(dispatch)
+            state.job_of = {job.index: job for job in dispatch}
+            state.queued = len(dispatch)
             self._units[slot] = state
             self.stats["submitted"] += 1
             if dispatch:
                 self._queue.add_unit(slot, dispatch, unit.priority)
                 self._pump()
                 return slot
+            if state.needs:
+                return slot  # completes when the providers land
         # Nothing to fan out (all followers/warm hits, or nothing
         # planned): the request completes synchronously — outside the
         # lock, like every other completion.
         self._complete_unit(slot)
         return slot
+
+    def _check_open(self) -> None:
+        if self._closed:
+            raise DecompositionError(
+                "the live scheduler is closed; no further requests"
+            )
+
+    def _cross_dedup(
+        self, state: _LiveUnit, slot: int, primaries: List[OutputJob]
+    ) -> List[OutputJob]:
+        """Pull cross-circuit twins of queued or in-flight cones out of
+        ``primaries`` (lock held); returns the jobs to dispatch.
+
+        The first opted-in job of each ``(search context, cone key)`` pair
+        is the provider; a later twin from another unit becomes a follower
+        of its own unit, which waits for the provider before it completes
+        and then replays the provider's entry from the shared store.
+        Units that did not opt in pass through untouched.
+        """
+        prepared = state.prepared
+        if not isinstance(prepared.cache, _CrossUnitCache):
+            return primaries
+        dispatch: List[OutputJob] = []
+        for job in primaries:
+            if job.cache_key is not None:
+                key = (prepared.context, job.cache_key)
+                waiting = self._providers.get(key)
+                if waiting is not None:
+                    waiting.append(slot)
+                    state.needs.add(key)
+                    state.followers.append(job)
+                    continue
+                self._providers[key] = []
+                state.provides[job.index] = key
+            dispatch.append(job)
+        return dispatch
 
     def cancel(self, slot: int) -> bool:
         """Cooperatively cancel a request; ``True`` if it was cancellable.
@@ -1615,10 +1126,12 @@ class LiveSuiteScheduler:
             cancelled = unit.ticket.mark_cancelled()
             if cancelled:
                 self.stats["cancelled"] += 1
+            ready = self._release_providers(unit, list(unit.provides))
             if unit.inflight == 0:
                 unit.release()
             self._pump()
-            return cancelled
+        self._complete_units(ready)
+        return cancelled
 
     def forget(self, slot: int) -> None:
         """Drop a terminal request's unit entirely (daemon hygiene: a
@@ -1646,35 +1159,53 @@ class LiveSuiteScheduler:
 
     # -- executor plumbing --------------------------------------------------------
 
+    def _arm(self, unit: _LiveUnit) -> None:
+        """Start the unit's circuit budget now, from the post-planning
+        snapshot (lock held): its jobs reach the executor, or replay, from
+        here on."""
+        unit.armed = True
+        if unit.budget_left is not None:
+            unit.prepared.deadline = Deadline(unit.budget_left)
+        if unit.enqueued_at is not None:
+            self._queue_wait.observe(monotonic() - unit.enqueued_at)
+
     def _pump(self) -> None:
         """Keep the executor saturated (lock held by the caller).
 
-        Iterative, with a reentrancy latch: the serial live backend
-        completes jobs synchronously inside ``submit``, so the completion
-        hook runs *during* the loop body — it processes the result and
-        returns, and this loop (not a recursive pump) dispatches the next
-        job.
+        Iterative, with a reentrancy latch: the serial backend completes
+        jobs synchronously inside ``submit``, so the completion hook runs
+        *during* the loop body — it processes the result and returns, and
+        this loop (not a recursive pump) dispatches the next job.
         """
-        if self._pumping or self._closed or self._backend_impl is None:
+        if self._pumping or self._closed:
             return
         self._pumping = True
         try:
-            while self._inflight_total < self.worker_count:
+            while True:
+                if self._backend_impl is None:
+                    if not len(self._queue):
+                        break
+                    self._open_backend()
+                if self._inflight_total >= self.worker_count:
+                    break
                 item = self._queue.pop()
                 if item is None:
                     break
                 slot, job = item
                 unit = self._units[slot]
+                prepared = unit.prepared
                 if not unit.armed:
-                    # The unit's jobs start NOW: arm its circuit budget
-                    # from the post-planning snapshot, not from submit
-                    # time — queue wait behind other requests must not
-                    # drain it (mirrors SuiteScheduler._arm_deadline).
-                    unit.armed = True
-                    if unit.budget_left is not None:
-                        unit.prepared.deadline = Deadline(unit.budget_left)
-                    if unit.enqueued_at is not None:
-                        self._queue_wait.observe(monotonic() - unit.enqueued_at)
+                    self._backend_impl.add_context(
+                        slot,
+                        (
+                            prepared.aig,
+                            prepared.operator,
+                            prepared.engines,
+                            unit.unit.scheduler.worker_options(),
+                            prepared.report.circuit,
+                        ),
+                    )
+                    self._arm(unit)
                 unit.queued -= 1
                 unit.inflight += 1
                 unit.dispatched = True
@@ -1682,13 +1213,7 @@ class LiveSuiteScheduler:
                 self._jobs_dispatched.inc(backend=self.backend)
                 unit.ticket.mark_running()
                 self._backend_impl.submit(
-                    (
-                        slot,
-                        job.index,
-                        job.output_name,
-                        job.seed,
-                        unit.prepared.deadline,
-                    ),
+                    (slot, job.index, job.output_name, job.seed, prepared.deadline),
                     job.function,
                 )
         finally:
@@ -1696,7 +1221,7 @@ class LiveSuiteScheduler:
 
     def _on_job_done(self, slot, index, record, error) -> None:
         """Executor completion hook (any thread; serialised by the lock)."""
-        complete_slot = None
+        ready: List[int] = []
         with self._lock:
             if self._closed:
                 return
@@ -1712,7 +1237,7 @@ class LiveSuiteScheduler:
                         if unit.forgotten:
                             del self._units[slot]
                 elif error is not None:
-                    self._fail_unit(slot, unit, error)
+                    ready = self._fail_unit(slot, unit, error)
                 else:
                     if record is not None:
                         job = unit.job_of[index]
@@ -1721,15 +1246,45 @@ class LiveSuiteScheduler:
                                 unit.prepared, job, record
                             )
                         except Exception as exc:  # extraction/verify failed
-                            self._fail_unit(slot, unit, exc)
+                            ready = self._fail_unit(slot, unit, exc)
                         else:
                             unit.records[index] = record
                             self._emit_record(unit, record)
-                    if unit.inflight == 0 and unit.queued == 0:
-                        complete_slot = slot
+                    # The record (or skip marker) is in: twins waiting on
+                    # this cone can replay it (or recompute) now.
+                    ready += self._release_providers(unit, [index])
+                    if self._ready(unit):
+                        ready.append(slot)
             self._pump()
-        if complete_slot is not None:
-            self._complete_unit(complete_slot)
+        self._complete_units(ready)
+
+    def _ready(self, unit: _LiveUnit) -> bool:
+        """Whether the unit has nothing left to wait for."""
+        return (
+            not unit.finished
+            and not unit.ticket.terminal
+            and unit.inflight == 0
+            and unit.queued == 0
+            and not unit.needs
+        )
+
+    def _release_providers(self, unit: _LiveUnit, indices) -> List[int]:
+        """The unit's provider jobs ``indices`` came back, or never will
+        (lock held): stop the waiting twins' wait; returns the slots of
+        waiters that are now ready to complete."""
+        ready: List[int] = []
+        for index in indices:
+            key = unit.provides.pop(index, None)
+            if key is None:
+                continue
+            for waiter_slot in self._providers.pop(key, ()):
+                waiter = self._units.get(waiter_slot)
+                if waiter is None:
+                    continue
+                waiter.needs.discard(key)
+                if self._ready(waiter):
+                    ready.append(waiter_slot)
+        return ready
 
     def _emit_record(self, unit: _LiveUnit, record: OutputResult) -> None:
         # Callers hold the lock on the hook path but not on the
@@ -1739,25 +1294,33 @@ class LiveSuiteScheduler:
         if self._on_record is not None:
             self._on_record(unit.ticket, record)
 
-    def _fail_unit(self, slot: int, unit: _LiveUnit, error: BaseException) -> None:
+    def _fail_unit(self, slot: int, unit: _LiveUnit, error: BaseException) -> List[int]:
+        """Mark the unit failed (lock held); returns the slots of twins
+        its provider jobs no longer hold up."""
         removed = self._queue.remove_unit(slot)
         unit.queued -= removed
         unit.finished = True
         self.stats["failed"] += 1
         unit.ticket.mark_failed(f"{type(error).__name__}: {error}")
+        ready = self._release_providers(unit, list(unit.provides))
         if unit.inflight == 0:
             unit.release()
+        return ready
+
+    def _complete_units(self, slots: List[int]) -> None:
+        for slot in slots:
+            self._complete_unit(slot)
 
     def _complete_unit(self, slot: int) -> None:
         """Follower replay + report assembly for one finished unit.
 
-        Called WITHOUT the scheduler lock: follower replay can be real
-        search work and finalize rewrites the persistent snapshot, and
-        neither may stall other requests' dispatch or completion hooks.
-        The unit is claimed (``finished``) under the lock first, so
-        exactly one thread ever completes it; the shared persistent cache
-        is internally locked.  Mirrors the tail of
-        ``BatchScheduler._run_parallel``."""
+        Called WITHOUT the scheduler lock on the pooled backends: follower
+        replay can be real search work and finalize rewrites the
+        persistent snapshot, and neither may stall other requests'
+        dispatch or completion hooks.  The unit is claimed (``finished``)
+        under the lock first, so exactly one thread ever completes it; the
+        shared persistent cache is internally locked.
+        """
         with self._lock:
             unit = self._units.get(slot)
             if unit is None or unit.finished or unit.ticket.terminal:
@@ -1770,13 +1333,9 @@ class LiveSuiteScheduler:
             priority = unit.unit.priority
             dispatched = unit.dispatched
             if not unit.armed:
-                # All-follower units never reach _pump: their budget
-                # starts at replay time.
-                unit.armed = True
-                if unit.budget_left is not None:
-                    prepared.deadline = Deadline(unit.budget_left)
-                if unit.enqueued_at is not None:
-                    self._queue_wait.observe(monotonic() - unit.enqueued_at)
+                # Units that dispatched nothing never reach _pump: their
+                # budget starts at replay time.
+                self._arm(unit)
         try:
             unit.ticket.mark_running()  # no-op if already running
             for record in scheduler.execute_local(prepared, followers, records):
@@ -1786,25 +1345,32 @@ class LiveSuiteScheduler:
                 fallback = self._fallback
             else:
                 used_workers = 0
-                fallback = self._fallback or (
-                    FALLBACK_WARM_CACHE if followers else None
-                )
+                if unit.budget_left == 0.0:
+                    fallback = FALLBACK_DEADLINE
+                else:
+                    fallback = FALLBACK_WARM_CACHE if followers else None
+            extra: Dict[str, object] = {
+                "live": True,
+                "shared_pool": used_workers > 0,
+                "pool_id": self.pool_id if used_workers else None,
+                "backend": self.backend,
+                "priority": priority,
+            }
+            if isinstance(prepared.cache, _CrossUnitCache):
+                extra["cross_circuit_dedup"] = True
+                extra["cross_circuit_hits"] = prepared.cache.cross_hits
             report = scheduler.finalize(
                 prepared,
                 records,
                 used_workers,
-                fallback,
-                extra_schedule={
-                    "live": True,
-                    "shared_pool": used_workers > 0,
-                    "pool_id": self.pool_id if used_workers else None,
-                    "backend": self.backend,
-                    "priority": priority,
-                },
+                # A jobs == 1 request asked for nothing to fall back from.
+                fallback if self.jobs > 1 else None,
+                extra_schedule=extra,
             )
         except Exception as exc:
             with self._lock:
-                self._fail_unit(slot, unit, exc)
+                ready = self._fail_unit(slot, unit, exc)
+            self._complete_units(ready)
             return
         with self._lock:
             # Count BEFORE the transition: mark_done fires listeners that

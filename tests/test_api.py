@@ -2,8 +2,8 @@
 
 Three contracts anchor the layer:
 
-* the legacy surface (``BiDecomposer.decompose_circuit``) is a shim over
-  the session API and must stay fingerprint-identical to it;
+* one request run alone and the same request in a suite drain are
+  fingerprint-identical;
 * the registry is the single namespace for engine names — built-ins and
   plug-ins validate at *request construction*, with one-line errors;
 * a suite submitted through ``Session.submit`` runs on exactly ONE shared
@@ -35,7 +35,7 @@ from repro.circuits.generators import (
     parity_tree,
     ripple_carry_adder,
 )
-from repro.core.engine import BiDecomposer, EngineOptions
+from repro.core.engine import BiDecomposer
 from repro.core.result import BiDecResult
 from repro.core.spec import ENGINE_LJH, ENGINE_STEP_MG, ENGINE_STEP_QD
 from repro.errors import DecompositionError, ReproError
@@ -248,7 +248,8 @@ class TestPluginEngines:
 
 
 class TestLegacyShim:
-    """The old kwargs surface must stay fingerprint-identical to sessions."""
+    """Whole-circuit runs formerly made through the removed
+    ``BiDecomposer.decompose_circuit`` shim, now on the session itself."""
 
     MATRIX = [
         (ripple_carry_adder, (2,), [ENGINE_STEP_MG, ENGINE_STEP_QD]),
@@ -258,48 +259,21 @@ class TestLegacyShim:
 
     @pytest.mark.parametrize("builder,args,engines", MATRIX)
     def test_decompose_circuit_matches_session_run(self, builder, args, engines):
+        """One request run alone and as a one-request suite drain."""
         aig = builder(*args)
-        legacy = BiDecomposer(EngineOptions()).decompose_circuit(aig, "or", engines)
-        report = Session().run(request_for(aig, engines=tuple(engines)))
+        request = request_for(aig, engines=tuple(engines))
+        (legacy,) = Session().run_suite([request])
+        report = Session().run(request)
         assert legacy.fingerprint() == report.fingerprint()
-
-    def test_decompose_circuit_emits_deprecation_warning(self, adder3):
-        with pytest.warns(DeprecationWarning, match="decompose_circuit"):
-            BiDecomposer(EngineOptions()).decompose_circuit(
-                adder3, "or", [ENGINE_STEP_MG], max_outputs=1
-            )
 
     def test_shim_forwards_overrides(self, tmp_path):
         aig = duplicated_cone_circuit(copies=3)
-        report = BiDecomposer(EngineOptions()).decompose_circuit(
-            aig, "or", [ENGINE_STEP_MG], cache_dir=str(tmp_path)
-        )
+        cache = CachePolicy(directory=str(tmp_path))
+        report = Session().run(request_for(aig, cache=cache))
         assert report.schedule["persistent_saved"] == 1
-        warm = BiDecomposer(EngineOptions()).decompose_circuit(
-            aig, "or", [ENGINE_STEP_MG], cache_dir=str(tmp_path)
-        )
+        warm = Session().run(request_for(aig, cache=cache))
         assert warm.schedule["persistent_hits"] >= 1
         assert warm.fingerprint() == report.fingerprint()
-
-    def test_shim_accepts_legacy_non_positive_timeouts(self):
-        """EngineOptions accepted any timeout; the shim must not raise."""
-        aig = duplicated_cone_circuit(copies=2)
-        report = BiDecomposer(EngineOptions(output_timeout=0)).decompose_circuit(
-            aig, "or", [ENGINE_LJH]
-        )
-        assert len(report.outputs) == 2  # every engine call expired instantly
-        report = BiDecomposer(EngineOptions(per_call_timeout=-1)).decompose_circuit(
-            aig, "or", [ENGINE_LJH]
-        )
-        assert len(report.outputs) == 2
-
-    def test_shim_drops_cache_dir_without_dedup(self, tmp_path):
-        """The legacy surface silently persisted nothing; it must not raise."""
-        aig = duplicated_cone_circuit(copies=2)
-        report = BiDecomposer(EngineOptions()).decompose_circuit(
-            aig, "or", [ENGINE_STEP_MG], dedup=False, cache_dir=str(tmp_path)
-        )
-        assert "persistent_saved" not in report.schedule
 
 
 def suite_requests(jobs=1):

@@ -15,6 +15,7 @@ import pytest
 
 from tests.reference import best_metric, decomposable, evaluate_table
 from repro.aig.function import BooleanFunction
+from repro.api import Budgets, DecompositionRequest, Parallelism, Session
 from repro.circuits.generators import random_aig, random_dnf
 from repro.core.engine import BiDecomposer, EngineOptions
 from repro.core.spec import (
@@ -133,8 +134,15 @@ def test_nondecomposable_verdicts_are_sound(step):
 def test_batched_circuit_results_verify_against_simulation():
     """End-to-end: batched multi-output decomposition vs. direct evaluation."""
     aig = random_aig(6, 18, 3, seed="diff-batch")
-    step = BiDecomposer(EngineOptions(jobs=1, dedup=True, output_timeout=30.0))
-    report = step.decompose_circuit(aig, "or", [ENGINE_STEP_MG, ENGINE_STEP_QD])
+    report = Session().run(
+        DecompositionRequest(
+            circuit=aig,
+            operator="or",
+            engines=(ENGINE_STEP_MG, ENGINE_STEP_QD),
+            budgets=Budgets(per_output=30.0),
+            parallelism=Parallelism(jobs=1, dedup=True),
+        )
+    )
     for output in report.outputs:
         function = BooleanFunction.from_output(aig, output.output_name)
         table = function.truth_table()

@@ -9,6 +9,7 @@ from repro.circuits.generators import (
     parity_tree,
     ripple_carry_adder,
 )
+from repro.api import Budgets, DecompositionRequest, Session
 from repro.circuits.library import classic_circuit
 from repro.core.engine import BiDecomposer, EngineOptions
 from repro.core.spec import (
@@ -30,6 +31,16 @@ ALL_ENGINES = [
     ENGINE_STEP_QDB,
     ENGINE_BDD,
 ]
+
+
+def run_circuit(aig, engines, **kwargs):
+    """Every output of ``aig`` through a session, 20 s per output."""
+    kwargs.setdefault("budgets", Budgets(per_output=20.0))
+    return Session().run(
+        DecompositionRequest(
+            circuit=aig, operator="or", engines=tuple(engines), **kwargs
+        )
+    )
 
 
 @pytest.fixture(scope="module")
@@ -111,10 +122,8 @@ class TestDecomposeOutputAndCircuit:
         assert set(record.results) <= {ENGINE_STEP_MG, ENGINE_STEP_QD}
 
     def test_decompose_circuit_report(self):
-        options = EngineOptions(output_timeout=20.0)
-        step = BiDecomposer(options)
         aig = ripple_carry_adder(2)
-        report = step.decompose_circuit(aig, "or", [ENGINE_STEP_MG, ENGINE_STEP_QD])
+        report = run_circuit(aig, [ENGINE_STEP_MG, ENGINE_STEP_QD])
         assert report.circuit == aig.name
         assert len(report.outputs) == len(aig.outputs)
         assert report.decomposed_count(ENGINE_STEP_QD) >= report.decomposed_count(ENGINE_STEP_MG) - len(
@@ -123,15 +132,13 @@ class TestDecomposeOutputAndCircuit:
         assert report.cpu_seconds(ENGINE_STEP_MG) >= 0.0
 
     def test_sequential_circuit_made_combinational(self):
-        step = BiDecomposer(EngineOptions(output_timeout=20.0))
         aig = classic_circuit("seq_ctrl")
-        report = step.decompose_circuit(aig, "or", [ENGINE_STEP_MG], max_outputs=3)
+        report = run_circuit(aig, [ENGINE_STEP_MG], max_outputs=3)
         assert report.outputs  # latch-derived outputs become decomposable POs
 
     def test_max_outputs_limit(self):
-        step = BiDecomposer(EngineOptions(output_timeout=20.0))
         aig = ripple_carry_adder(3)
-        report = step.decompose_circuit(aig, "or", [ENGINE_STEP_MG], max_outputs=2)
+        report = run_circuit(aig, [ENGINE_STEP_MG], max_outputs=2)
         assert len(report.outputs) == 2
 
     def test_max_support_filter(self):
@@ -141,9 +148,10 @@ class TestDecomposeOutputAndCircuit:
         assert record.results == {}
 
     def test_circuit_timeout_stops_early(self):
-        step = BiDecomposer(EngineOptions(output_timeout=20.0))
         aig = ripple_carry_adder(3)
-        report = step.decompose_circuit(aig, "or", [ENGINE_STEP_MG], circuit_timeout=0.0)
+        report = run_circuit(
+            aig, [ENGINE_STEP_MG], budgets=Budgets(per_output=20.0, per_circuit=0.0)
+        )
         assert len(report.outputs) == 0
 
 
@@ -197,8 +205,13 @@ class TestBddTimeoutFlag:
         aig, *_ = decomposable_by_construction("or", 3, 3, 1, seed=5)
         root = aig.outputs[0][1]
         aig.add_output("f_dup", root)
-        report = BiDecomposer(EngineOptions()).decompose_circuit(
-            aig, "or", [ENGINE_BDD], circuit_timeout=300.0
+        report = Session().run(
+            DecompositionRequest(
+                circuit=aig,
+                operator="or",
+                engines=(ENGINE_BDD,),
+                budgets=Budgets(per_circuit=300.0),
+            )
         )
         assert report.schedule["cache_hits"] == 1
         for output in report.outputs:

@@ -35,7 +35,7 @@ from repro.core.executors import (
     create_backend,
     strongest_backend,
 )
-from repro.core.scheduler import OutputJob, fair_dispatch
+from repro.core.scheduler import LiveFairQueue, OutputJob, heaviest_first
 from repro.core.spec import ENGINE_LJH, ENGINE_STEP_MG, ENGINE_STEP_QD
 from repro.errors import DecompositionError, ReproError
 
@@ -192,6 +192,50 @@ class TestBackendDifferential:
         finally:
             default_registry().unregister("TEST-SNAIL")
 
+    def test_pooled_suite_budgets_arm_at_first_dispatch(self):
+        """On a pool, a unit queued behind another unit's searches starts
+        its circuit budget when its first job reaches a worker."""
+        from repro import default_registry, EngineSpec
+        from repro.core.result import BiDecResult
+        import time
+
+        def sleepy(function, operator, *, options, deadline):
+            time.sleep(0.6)
+            return BiDecResult(
+                engine="TEST-SLOTH", operator=operator, decomposed=False
+            )
+
+        default_registry().register(EngineSpec("TEST-SLOTH", runner=sleepy))
+        try:
+            session = Session()
+            session.submit(
+                [
+                    request_for(
+                        ripple_carry_adder(2),
+                        engines=("TEST-SLOTH",),
+                        jobs=2,
+                        backend=BACKEND_THREAD,
+                    ),
+                    request_for(
+                        mux_tree(2),
+                        jobs=2,
+                        backend=BACKEND_THREAD,
+                        budgets=Budgets(per_circuit=0.3),
+                    ),
+                ]
+            )
+            circuits = [record.circuit for record in session.as_completed()]
+            _, second = session.reports()
+            # Both workers were busy for 0.6 s when the second unit was
+            # submitted, so its job waited for a finished search; armed at
+            # submit, its 0.3 s budget would have been gone by then.
+            assert circuits[0] == "rca2"
+            assert second.schedule["skipped"] == []
+            assert len(second.outputs) == 1
+            assert second.schedule["shared_pool"] is True
+        finally:
+            default_registry().unregister("TEST-SLOTH")
+
     def test_thread_backend_honours_expired_circuit_budget(self):
         report = Session().run(
             request_for(
@@ -247,6 +291,18 @@ class TestBackendDifferential:
         solo = Session().run(request_for(ripple_carry_adder(2)))
         for backend in (BACKEND_THREAD, BACKEND_PROCESS):
             assert outcome[backend]["fingerprint"] == solo.fingerprint()
+
+
+def fair_dispatch(queues, priorities):
+    """The live fair queue's dispatch sequence when every unit joins before
+    the first pop, each queue heaviest-first as a parallel backend gets it."""
+    queue = LiveFairQueue()
+    for slot, jobs in enumerate(queues):
+        queue.add_unit(slot, heaviest_first(jobs), priorities[slot])
+    order = []
+    while (item := queue.pop()) is not None:
+        order.append(item)
+    return order
 
 
 class TestFairDispatch:
@@ -356,6 +412,71 @@ class TestCrossCircuitDedup:
             solo = Session().run(
                 request.with_(parallelism=Parallelism(jobs=1))
             )
+            assert solo.fingerprint() == report.fingerprint()
+
+    def test_async_session_replays_twins_across_requests(self):
+        """The live scheduler honours the flag too: a twin submitted while
+        (or after) its provider searched replays instead of searching."""
+        import asyncio
+
+        from repro import AsyncSession
+
+        requests = [
+            request_for(aig, cache=CachePolicy(cross_circuit_dedup=True))
+            for aig in (
+                twin_cone_circuit("asyncTwinA", copies=2),
+                twin_cone_circuit("asyncTwinB", copies=2),
+            )
+        ]
+
+        async def go():
+            async with AsyncSession(jobs=2, backend="thread") as session:
+                handles = [session.submit(request) for request in requests]
+                return [await handle.report() for handle in handles]
+
+        reports = asyncio.run(go())
+        assert all(r.schedule["cross_circuit_dedup"] is True for r in reports)
+        assert sum(r.schedule["cross_circuit_hits"] for r in reports) == 1
+        for request, report in zip(requests, reports):
+            solo = Session().run(request.with_(parallelism=Parallelism(jobs=1)))
+            assert solo.fingerprint() == report.fingerprint()
+
+    def test_twins_under_thread_contention(self):
+        """Many opted-in twins on more threads than cores, with frequent
+        thread switches: every twin but one replays, none searches twice,
+        and the drain finishes."""
+        import sys
+        import threading
+
+        requests = [
+            request_for(
+                twin_cone_circuit(f"stressTwin{k}", copies=2),
+                jobs=4,
+                backend=BACKEND_THREAD,
+                cache=CachePolicy(cross_circuit_dedup=True),
+            )
+            for k in range(8)
+        ]
+        outcome = {}
+
+        def drain():
+            outcome["reports"] = Session().run_suite(requests)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            worker = threading.Thread(target=drain, daemon=True)
+            worker.start()
+            worker.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not worker.is_alive(), "the drain did not finish"
+        reports = outcome["reports"]
+        hits = [report.schedule["cross_circuit_hits"] for report in reports]
+        assert sum(hits) == len(requests) - 1
+        assert sum(report.schedule["cache_misses"] for report in reports) == len(requests)
+        for request, report in zip(requests, reports):
+            solo = Session().run(request.with_(parallelism=Parallelism(jobs=1)))
             assert solo.fingerprint() == report.fingerprint()
 
     def test_off_by_default_no_cross_stats_and_solo_identical(self):

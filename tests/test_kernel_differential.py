@@ -202,13 +202,18 @@ class TestActivityRescaleDifferential:
 FINGERPRINT_SCRIPT = """
 import json
 
+from repro.api import Budgets, DecompositionRequest, Session
 from repro.circuits.generators import decomposable_by_construction
-from repro.core.engine import BiDecomposer, EngineOptions
-from repro.core.scheduler import BatchScheduler
 
 aig, *_ = decomposable_by_construction("or", 6, 6, 2, seed="kernel-diff")
-scheduler = BatchScheduler(BiDecomposer(EngineOptions(output_timeout=120.0)))
-report = scheduler.run(aig, "or", ["STEP-MG", "STEP-QD"])
+report = Session().run(
+    DecompositionRequest(
+        circuit=aig,
+        operator="or",
+        engines=("STEP-MG", "STEP-QD"),
+        budgets=Budgets(per_output=120.0),
+    )
+)
 print(json.dumps({
     "kernel": report.schedule["solver_kernel"],
     "stats": report.schedule["solver_stats"],

@@ -17,10 +17,12 @@ import pytest
 from repro.aig import signature
 from repro.aig.aig import AIG
 from repro.aig.signature import ConeCache, PersistentConeCache
+from repro.api import Budgets, CachePolicy, DecompositionRequest, Parallelism, Session
 from repro.circuits.generators import decomposable_by_construction
 from repro.core.engine import BiDecomposer, EngineOptions
 from repro.core.scheduler import PERSISTENT_CACHE_FILENAME
 from repro.core.spec import ENGINE_LJH, ENGINE_STEP_MG, ENGINE_STEP_QD
+from repro.errors import ReproError
 
 
 def build_circuit(copies=3, seed=11):
@@ -43,9 +45,16 @@ def synthetic_entry(name):
     return (("a", "b"), record)
 
 
-def run(aig, cache_dir, engines=(ENGINE_STEP_MG,), jobs=1, **option_kwargs):
-    options = EngineOptions(cache_dir=str(cache_dir), jobs=jobs, **option_kwargs)
-    return BiDecomposer(options).decompose_circuit(aig, "or", list(engines))
+def run(aig, cache_dir, engines=(ENGINE_STEP_MG,), jobs=1, dedup=True, **kwargs):
+    request = DecompositionRequest(
+        circuit=aig,
+        operator="or",
+        engines=tuple(engines),
+        parallelism=Parallelism(jobs=jobs, dedup=dedup),
+        cache=CachePolicy(directory=str(cache_dir)),
+        **kwargs,
+    )
+    return Session().run(request)
 
 
 class TestColdWarmRoundTrip:
@@ -93,6 +102,41 @@ class TestColdWarmRoundTrip:
         assert warm.schedule["jobs"] == 1
         assert warm.fingerprint() == cold.fingerprint()
 
+    def test_run_that_dispatches_nothing_starts_no_pool(self, tmp_path):
+        aig = build_circuit(copies=4)
+        run(aig, tmp_path)
+        session = Session()
+        warm = session.run(
+            DecompositionRequest(
+                circuit=aig,
+                operator="or",
+                engines=(ENGINE_STEP_MG,),
+                parallelism=Parallelism(jobs=4),
+                cache=CachePolicy(directory=str(tmp_path)),
+            )
+        )
+        assert warm.schedule["fallback"] == "warm-cache"
+        assert session.stats["pools_created"] == 0
+
+    def test_serial_suite_warms_each_circuit_from_the_previous_one(self, tmp_path):
+        """jobs=1: a circuit is planned after the previous one finalized,
+        so its twin cone replays from the snapshot — a persistent hit, and
+        no fallback to report for a request that asked for one job."""
+        first, second = build_circuit(copies=1), build_circuit(copies=1)
+        first.name, second.name = "twin_a", "twin_b"
+        cache = CachePolicy(directory=str(tmp_path))
+        reports = Session().run_suite(
+            [
+                DecompositionRequest(
+                    circuit=aig, operator="or", engines=(ENGINE_STEP_MG,), cache=cache
+                )
+                for aig in (first, second)
+            ]
+        )
+        assert reports[0].schedule["persistent_hits"] == 0
+        assert reports[1].schedule["persistent_hits"] == 1
+        assert [report.schedule["fallback"] for report in reports] == [None, None]
+
     def test_multi_engine_round_trip(self, tmp_path):
         aig = build_circuit()
         engines = (ENGINE_STEP_MG, ENGINE_STEP_QD, ENGINE_LJH)
@@ -117,7 +161,7 @@ class TestContextIsolation:
     def test_different_options_do_not_share_entries(self, tmp_path):
         aig = build_circuit()
         run(aig, tmp_path)
-        other = run(aig, tmp_path, per_call_timeout=2.5)
+        other = run(aig, tmp_path, budgets=Budgets(per_call=2.5))
         # Same circuit, different search budget: different context, no reuse.
         assert other.schedule["persistent_hits"] == 0
 
@@ -136,8 +180,10 @@ class TestContextIsolation:
 
     def test_no_dedup_disables_persistence(self, tmp_path):
         aig = build_circuit()
-        report = run(aig, tmp_path, dedup=False)
-        assert "persistent_hits" not in report.schedule
+        # The snapshot rides on the dedup cache: a request asking for one
+        # without the other is rejected before anything runs.
+        with pytest.raises(ReproError, match="requires cone dedup"):
+            run(aig, tmp_path, dedup=False)
         assert not os.path.exists(tmp_path / PERSISTENT_CACHE_FILENAME)
 
 

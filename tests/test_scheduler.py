@@ -22,6 +22,7 @@ from repro.circuits.generators import (
     parity_tree,
     ripple_carry_adder,
 )
+from repro.api import Budgets, DecompositionRequest, Parallelism, Session
 from repro.core.engine import BiDecomposer, EngineOptions
 from repro.core.scheduler import BatchScheduler
 from repro.core.spec import (
@@ -33,6 +34,15 @@ from repro.core.spec import (
 from repro.core.verify import verify_decomposition
 from repro.errors import DecompositionError
 from repro.utils.rng import derive_seed
+
+
+def run(aig, operator, engines, **kwargs):
+    """One circuit through a fresh session."""
+    return Session().run(
+        DecompositionRequest(
+            circuit=aig, operator=operator, engines=tuple(engines), **kwargs
+        )
+    )
 
 
 def duplicated_cone_circuit(copies=4, seed=7):
@@ -213,31 +223,27 @@ class TestBatchedEqualsSequential:
     @pytest.mark.parametrize("builder,args,engines", MATRIX)
     def test_fingerprints_match_across_modes(self, builder, args, engines):
         aig = builder(*args)
-        sequential = BiDecomposer(EngineOptions(dedup=False)).decompose_circuit(
-            aig, "or", engines
-        )
-        batched = BiDecomposer(EngineOptions(dedup=True)).decompose_circuit(
-            aig, "or", engines
-        )
+        sequential = run(aig, "or", engines, parallelism=Parallelism(dedup=False))
+        batched = run(aig, "or", engines, parallelism=Parallelism(dedup=True))
         assert sequential.fingerprint() == batched.fingerprint()
 
     def test_xor_operator_matches(self):
         aig = parity_tree(5)
-        sequential = BiDecomposer(EngineOptions(dedup=False)).decompose_circuit(
-            aig, "xor", [ENGINE_STEP_MG]
+        sequential = run(
+            aig, "xor", [ENGINE_STEP_MG], parallelism=Parallelism(dedup=False)
         )
-        batched = BiDecomposer(EngineOptions(dedup=True)).decompose_circuit(
-            aig, "xor", [ENGINE_STEP_MG]
+        batched = run(
+            aig, "xor", [ENGINE_STEP_MG], parallelism=Parallelism(dedup=True)
         )
         assert sequential.fingerprint() == batched.fingerprint()
 
     def test_parallel_matches_sequential(self):
         aig = ripple_carry_adder(2)
-        sequential = BiDecomposer(EngineOptions(dedup=False)).decompose_circuit(
-            aig, "or", [ENGINE_STEP_MG]
+        sequential = run(
+            aig, "or", [ENGINE_STEP_MG], parallelism=Parallelism(dedup=False)
         )
-        parallel = BiDecomposer(EngineOptions(dedup=True, jobs=3)).decompose_circuit(
-            aig, "or", [ENGINE_STEP_MG]
+        parallel = run(
+            aig, "or", [ENGINE_STEP_MG], parallelism=Parallelism(dedup=True, jobs=3)
         )
         assert sequential.fingerprint() == parallel.fingerprint()
         # "requested_jobs" is asserted rather than the effective "jobs" so
@@ -248,11 +254,13 @@ class TestBatchedEqualsSequential:
     def test_jobs_1_equals_jobs_4(self):
         """Regression: per-job seeds derive from job identity, not order."""
         aig = duplicated_cone_circuit(copies=4, seed=21)
-        one = BiDecomposer(EngineOptions(jobs=1)).decompose_circuit(
-            aig, "or", [ENGINE_STEP_MG, ENGINE_STEP_QD]
+        one = run(
+            aig, "or", [ENGINE_STEP_MG, ENGINE_STEP_QD],
+            parallelism=Parallelism(jobs=1),
         )
-        four = BiDecomposer(EngineOptions(jobs=4)).decompose_circuit(
-            aig, "or", [ENGINE_STEP_MG, ENGINE_STEP_QD]
+        four = run(
+            aig, "or", [ENGINE_STEP_MG, ENGINE_STEP_QD],
+            parallelism=Parallelism(jobs=4),
         )
         assert one.fingerprint() == four.fingerprint()
         assert one.schedule["cache_hits"] == four.schedule["cache_hits"]
@@ -262,9 +270,7 @@ class TestBatchedEqualsSequential:
 class TestDedup:
     def test_duplicate_cones_decomposed_once(self):
         aig = duplicated_cone_circuit(copies=4)
-        report = BiDecomposer(EngineOptions()).decompose_circuit(
-            aig, "or", [ENGINE_STEP_MG]
-        )
+        report = run(aig, "or", [ENGINE_STEP_MG])
         assert report.schedule["unique_cones"] == 1
         assert report.schedule["cache_hits"] == 3
         # Replayed results are flagged in SearchStatistics ...
@@ -281,8 +287,7 @@ class TestDedup:
 
     def test_renamed_duplicates_replay_with_renamed_partitions(self):
         aig = renamed_cone_circuit()
-        options = EngineOptions(verify=True)
-        report = BiDecomposer(options).decompose_circuit(aig, "or", [ENGINE_STEP_MG])
+        report = run(aig, "or", [ENGINE_STEP_MG], verify=True)
         assert report.schedule["cache_hits"] == 1
         first = report.outputs[0].results[ENGINE_STEP_MG]
         second = report.outputs[1].results[ENGINE_STEP_MG]
@@ -297,8 +302,8 @@ class TestDedup:
 
     def test_dedup_off_recomputes_everything(self):
         aig = duplicated_cone_circuit(copies=3)
-        report = BiDecomposer(EngineOptions(dedup=False)).decompose_circuit(
-            aig, "or", [ENGINE_STEP_MG]
+        report = run(
+            aig, "or", [ENGINE_STEP_MG], parallelism=Parallelism(dedup=False)
         )
         assert report.schedule["cache_hits"] == 0
         assert report.cache_hits() == 0
@@ -308,9 +313,7 @@ class TestDedup:
         x = aig.add_input("x")
         aig.add_output("o1", x)
         aig.add_output("o2", x)
-        report = BiDecomposer(EngineOptions()).decompose_circuit(
-            aig, "or", [ENGINE_STEP_MG]
-        )
+        report = run(aig, "or", [ENGINE_STEP_MG])
         assert len(report.outputs) == 2
         assert report.schedule["unique_cones"] == 0
         assert all(not output.results for output in report.outputs)
@@ -348,8 +351,10 @@ class TestSchedulerPlanning:
 
     def test_circuit_timeout_stops_scheduling(self):
         aig = ripple_carry_adder(3)
-        report = BiDecomposer(EngineOptions(jobs=2)).decompose_circuit(
-            aig, "or", [ENGINE_STEP_MG], circuit_timeout=0.0
+        report = run(
+            aig, "or", [ENGINE_STEP_MG],
+            parallelism=Parallelism(jobs=2),
+            budgets=Budgets(per_circuit=0.0),
         )
         assert len(report.outputs) == 0
 
@@ -357,8 +362,10 @@ class TestSchedulerPlanning:
         """Deadline semantics must not depend on the jobs count."""
         aig = ripple_carry_adder(2)
         reports = [
-            BiDecomposer(EngineOptions(jobs=jobs)).decompose_circuit(
-                aig, "or", [ENGINE_STEP_MG], circuit_timeout=300.0
+            run(
+                aig, "or", [ENGINE_STEP_MG],
+                parallelism=Parallelism(jobs=jobs),
+                budgets=Budgets(per_circuit=300.0),
             )
             for jobs in (1, 4)
         ]
@@ -370,9 +377,7 @@ class TestCanonicalDedup:
     def test_permuted_fanin_cones_share_one_search(self):
         """Acceptance: fanin-permuted isomorphic cones dedup canonically."""
         aig = permuted_fanin_circuit()
-        report = BiDecomposer(EngineOptions(verify=True)).decompose_circuit(
-            aig, "or", [ENGINE_STEP_MG]
-        )
+        report = run(aig, "or", [ENGINE_STEP_MG], verify=True)
         assert report.schedule["unique_cones"] == 1
         assert report.schedule["cache_hits"] == 1
         first = report.outputs[0].results[ENGINE_STEP_MG]
@@ -389,8 +394,8 @@ class TestCanonicalDedup:
 
     def test_no_dedup_still_recomputes_permuted_cones(self):
         aig = permuted_fanin_circuit()
-        report = BiDecomposer(EngineOptions(dedup=False)).decompose_circuit(
-            aig, "or", [ENGINE_STEP_MG]
+        report = run(
+            aig, "or", [ENGINE_STEP_MG], parallelism=Parallelism(dedup=False)
         )
         assert report.schedule["cache_hits"] == 0
         assert all(output.results[ENGINE_STEP_MG].decomposed for output in report.outputs)
@@ -402,8 +407,10 @@ class TestDeadlineSemantics:
     def test_deadline_no_longer_forces_sequential(self):
         """Acceptance: circuit_timeout + jobs=4 still uses the pool."""
         aig = ripple_carry_adder(3)
-        report = BiDecomposer(EngineOptions(jobs=4, dedup=False)).decompose_circuit(
-            aig, "or", [ENGINE_STEP_MG], circuit_timeout=300.0
+        report = run(
+            aig, "or", [ENGINE_STEP_MG],
+            parallelism=Parallelism(jobs=4, dedup=False),
+            budgets=Budgets(per_circuit=300.0),
         )
         # In environments where no process pool can be created the scheduler
         # must say so; everywhere else the pool must actually be used.
@@ -418,8 +425,10 @@ class TestDeadlineSemantics:
         """jobs=1 and jobs=4 report the same skipped set on a generous budget."""
         aig = duplicated_cone_circuit(copies=4, seed=33)
         reports = [
-            BiDecomposer(EngineOptions(jobs=jobs)).decompose_circuit(
-                aig, "or", [ENGINE_STEP_MG, ENGINE_STEP_QD], circuit_timeout=600.0
+            run(
+                aig, "or", [ENGINE_STEP_MG, ENGINE_STEP_QD],
+                parallelism=Parallelism(jobs=jobs),
+                budgets=Budgets(per_circuit=600.0),
             )
             for jobs in (1, 4)
         ]
@@ -430,27 +439,49 @@ class TestDeadlineSemantics:
     def test_zero_budget_reports_every_output_skipped(self):
         aig = ripple_carry_adder(3)
         for jobs in (1, 4):
-            report = BiDecomposer(EngineOptions(jobs=jobs)).decompose_circuit(
-                aig, "or", [ENGINE_STEP_MG], circuit_timeout=0.0
+            report = run(
+                aig, "or", [ENGINE_STEP_MG],
+                parallelism=Parallelism(jobs=jobs),
+                budgets=Budgets(per_circuit=0.0),
             )
             assert report.schedule["executed"] == 0
             assert report.schedule["skipped"] == [name for name, _ in aig.outputs]
             if jobs > 1:
                 assert report.schedule["fallback"] == "deadline"
 
-    def test_single_planned_job_reports_fallback(self):
-        """jobs>1 on a one-output circuit is a reported sequential fallback."""
-        aig, *_ = decomposable_by_construction("or", 3, 3, 1, seed=9)
-        report = BiDecomposer(EngineOptions(jobs=4)).decompose_circuit(
-            aig, "or", [ENGINE_STEP_MG]
+    def test_zero_budget_starts_no_pool(self):
+        session = Session()
+        report = session.run(
+            DecompositionRequest(
+                circuit=ripple_carry_adder(3),
+                operator="or",
+                engines=(ENGINE_STEP_MG,),
+                parallelism=Parallelism(jobs=4),
+                budgets=Budgets(per_circuit=0.0),
+            )
         )
-        assert report.schedule["jobs"] == 1
-        assert report.schedule["fallback"] == "single-job"
+        assert report.schedule["fallback"] == "deadline"
+        assert session.stats["pools_created"] == 0
+
+    def test_single_planned_job_reports_fallback(self):
+        """jobs>1 on a one-output circuit goes to the pool like any other
+        request (no "single-job" fallback), with the jobs=1 result."""
+        aig, *_ = decomposable_by_construction("or", 3, 3, 1, seed=9)
+        report = run(aig, "or", [ENGINE_STEP_MG], parallelism=Parallelism(jobs=4))
+        solo = run(aig, "or", [ENGINE_STEP_MG])
+        assert report.fingerprint() == solo.fingerprint()
+        assert report.schedule["executed"] == 1
+        if report.schedule["fallback"] is None:
+            assert report.schedule["jobs"] == 4
+        else:
+            assert report.schedule["fallback"] == "pool-unavailable"
 
     def test_skipped_respects_max_outputs(self):
         aig = ripple_carry_adder(3)
-        report = BiDecomposer(EngineOptions()).decompose_circuit(
-            aig, "or", [ENGINE_STEP_MG], circuit_timeout=0.0, max_outputs=2
+        report = run(
+            aig, "or", [ENGINE_STEP_MG],
+            budgets=Budgets(per_circuit=0.0),
+            max_outputs=2,
         )
         # Outputs beyond max_outputs were excluded by request, not budget.
         assert report.schedule["skipped"] == [name for name, _ in aig.outputs[:2]]
