@@ -795,9 +795,13 @@ class LiveFairQueue:
     def add_unit(
         self, slot: int, jobs: Sequence[OutputJob], priority: float
     ) -> None:
-        """Enqueue a unit's jobs (kept in the given order) at weight
-        ``priority``."""
+        """Enqueue a unit's jobs (kept in the given order, behind any it
+        still has queued) at weight ``priority``."""
         if not jobs:
+            return
+        queued = self._queues.get(slot)
+        if queued is not None:
+            queued.extend(jobs)
             return
         self._queues[slot] = deque(jobs)
         self._priorities[slot] = priority
@@ -1126,11 +1130,10 @@ class LiveSuiteScheduler:
             cancelled = unit.ticket.mark_cancelled()
             if cancelled:
                 self.stats["cancelled"] += 1
-            ready = self._release_providers(unit, list(unit.provides))
+            self._abandon_providers(unit)
             if unit.inflight == 0:
                 unit.release()
             self._pump()
-        self._complete_units(ready)
         return cancelled
 
     def forget(self, slot: int) -> None:
@@ -1237,7 +1240,7 @@ class LiveSuiteScheduler:
                         if unit.forgotten:
                             del self._units[slot]
                 elif error is not None:
-                    ready = self._fail_unit(slot, unit, error)
+                    self._fail_unit(slot, unit, error)
                 else:
                     if record is not None:
                         job = unit.job_of[index]
@@ -1246,17 +1249,16 @@ class LiveSuiteScheduler:
                                 unit.prepared, job, record
                             )
                         except Exception as exc:  # extraction/verify failed
-                            ready = self._fail_unit(slot, unit, exc)
+                            self._fail_unit(slot, unit, exc)
                         else:
                             unit.records[index] = record
                             self._emit_record(unit, record)
-                    # The record (or skip marker) is in: twins waiting on
-                    # this cone can replay it (or recompute) now.
-                    ready += self._release_providers(unit, [index])
+                    ready = self._release_provider(unit, index)
                     if self._ready(unit):
                         ready.append(slot)
             self._pump()
-        self._complete_units(ready)
+        for ready_slot in ready:
+            self._complete_unit(ready_slot)
 
     def _ready(self, unit: _LiveUnit) -> bool:
         """Whether the unit has nothing left to wait for."""
@@ -1268,23 +1270,42 @@ class LiveSuiteScheduler:
             and not unit.needs
         )
 
-    def _release_providers(self, unit: _LiveUnit, indices) -> List[int]:
-        """The unit's provider jobs ``indices`` came back, or never will
-        (lock held): stop the waiting twins' wait; returns the slots of
-        waiters that are now ready to complete."""
+    def _release_provider(self, unit: _LiveUnit, index: int) -> List[int]:
+        """The unit's job ``index`` came back (lock held).  If it provided
+        a shared cone, the twins waiting on it replay it now — or search
+        it themselves when it was skipped or truncated; returns the slots
+        of waiters that are ready to complete."""
+        key = unit.provides.pop(index, None)
         ready: List[int] = []
-        for index in indices:
-            key = unit.provides.pop(index, None)
-            if key is None:
-                continue
-            for waiter_slot in self._providers.pop(key, ()):
-                waiter = self._units.get(waiter_slot)
-                if waiter is None:
-                    continue
+        for waiter_slot in self._providers.pop(key, ()) if key else ():
+            waiter = self._units.get(waiter_slot)
+            if waiter is not None:
                 waiter.needs.discard(key)
                 if self._ready(waiter):
                     ready.append(waiter_slot)
         return ready
+
+    def _abandon_providers(self, unit: _LiveUnit) -> None:
+        """The unit was cancelled or failed (lock held), so its pending
+        provider jobs will deliver nothing: each twin waiting on one goes
+        back into its own request's queue and searches the cone itself, on
+        the executor rather than on the thread that cancelled."""
+        for key in unit.provides.values():
+            for waiter_slot in self._providers.pop(key, ()):
+                waiter = self._units.get(waiter_slot)
+                if waiter is None or waiter.finished or waiter.ticket.terminal:
+                    continue
+                # The twin is the waiter's first job on this cone; its own
+                # later duplicates stay followers and replay its result.
+                job = next(
+                    job for job in waiter.followers if job.cache_key == key[1]
+                )
+                waiter.followers.remove(job)
+                waiter.needs.discard(key)
+                waiter.job_of[job.index] = job
+                waiter.queued += 1
+                self._queue.add_unit(waiter_slot, [job], waiter.unit.priority)
+        unit.provides.clear()
 
     def _emit_record(self, unit: _LiveUnit, record: OutputResult) -> None:
         # Callers hold the lock on the hook path but not on the
@@ -1294,22 +1315,16 @@ class LiveSuiteScheduler:
         if self._on_record is not None:
             self._on_record(unit.ticket, record)
 
-    def _fail_unit(self, slot: int, unit: _LiveUnit, error: BaseException) -> List[int]:
-        """Mark the unit failed (lock held); returns the slots of twins
-        its provider jobs no longer hold up."""
+    def _fail_unit(self, slot: int, unit: _LiveUnit, error: BaseException) -> None:
+        """Mark the unit failed (lock held; the caller pumps)."""
         removed = self._queue.remove_unit(slot)
         unit.queued -= removed
         unit.finished = True
         self.stats["failed"] += 1
         unit.ticket.mark_failed(f"{type(error).__name__}: {error}")
-        ready = self._release_providers(unit, list(unit.provides))
+        self._abandon_providers(unit)
         if unit.inflight == 0:
             unit.release()
-        return ready
-
-    def _complete_units(self, slots: List[int]) -> None:
-        for slot in slots:
-            self._complete_unit(slot)
 
     def _complete_unit(self, slot: int) -> None:
         """Follower replay + report assembly for one finished unit.
@@ -1369,8 +1384,8 @@ class LiveSuiteScheduler:
             )
         except Exception as exc:
             with self._lock:
-                ready = self._fail_unit(slot, unit, exc)
-            self._complete_units(ready)
+                self._fail_unit(slot, unit, exc)
+                self._pump()
             return
         with self._lock:
             # Count BEFORE the transition: mark_done fires listeners that

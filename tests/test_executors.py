@@ -441,6 +441,90 @@ class TestCrossCircuitDedup:
             solo = Session().run(request.with_(parallelism=Parallelism(jobs=1)))
             assert solo.fingerprint() == report.fingerprint()
 
+    def test_twin_of_an_in_flight_cone_waits_instead_of_searching(self):
+        """The second request is planned while the first one's search is
+        still running: its twin waits for that search and replays it."""
+        import time
+
+        from repro import EngineSpec, default_registry
+        from repro.core.result import BiDecResult
+
+        calls = []
+
+        def slow(function, operator, *, options, deadline):
+            calls.append(function.num_inputs)
+            time.sleep(0.3)
+            return BiDecResult(
+                engine="TEST-SLOWTWIN", operator=operator, decomposed=False
+            )
+
+        default_registry().register(EngineSpec("TEST-SLOWTWIN", runner=slow))
+        try:
+            reports = Session().run_suite(
+                [
+                    request_for(
+                        twin_cone_circuit(name, copies=2),
+                        engines=("TEST-SLOWTWIN",),
+                        jobs=2,
+                        backend=BACKEND_THREAD,
+                        cache=CachePolicy(cross_circuit_dedup=True),
+                    )
+                    for name in ("slowTwinA", "slowTwinB")
+                ]
+            )
+        finally:
+            default_registry().unregister("TEST-SLOWTWIN")
+        assert len(calls) == 1
+        assert [r.schedule["cross_circuit_hits"] for r in reports] == [0, 1]
+
+    def test_cancelled_provider_hands_the_search_to_its_twin(self):
+        """Cancelling the request whose search a twin waits on sends the
+        twin back to the executor: it searches the cone itself, and the
+        cancelling thread never runs a search."""
+        import asyncio
+        import threading
+        import time
+
+        from repro import AsyncSession, EngineSpec, default_registry
+        from repro.core.result import BiDecResult
+
+        searched_on = []
+
+        def slow(function, operator, *, options, deadline):
+            searched_on.append(threading.current_thread().name)
+            time.sleep(0.3)
+            return BiDecResult(
+                engine="TEST-SLOWCANCEL", operator=operator, decomposed=False
+            )
+
+        async def go(requests):
+            async with AsyncSession(jobs=2, backend="thread") as session:
+                provider = session.submit(requests[0])
+                twin = session.submit(requests[1])
+                assert provider.cancel() is True
+                return await twin.report()
+
+        default_registry().register(EngineSpec("TEST-SLOWCANCEL", runner=slow))
+        try:
+            report = asyncio.run(
+                go(
+                    [
+                        request_for(
+                            twin_cone_circuit(name, copies=2),
+                            engines=("TEST-SLOWCANCEL",),
+                            cache=CachePolicy(cross_circuit_dedup=True),
+                        )
+                        for name in ("cancelTwinA", "cancelTwinB")
+                    ]
+                )
+            )
+        finally:
+            default_registry().unregister("TEST-SLOWCANCEL")
+        assert len(searched_on) == 2  # the cancelled search, then the twin's
+        assert all(name.startswith("repro-exec") for name in searched_on)
+        assert report.schedule["cross_circuit_hits"] == 0
+        assert len(report.outputs) == 2
+
     def test_twins_under_thread_contention(self):
         """Many opted-in twins on more threads than cores, with frequent
         thread switches: every twin but one replays, none searches twice,
