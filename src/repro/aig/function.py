@@ -113,22 +113,6 @@ class BooleanFunction:
     def support_names(self, functional: bool = True) -> List[str]:
         return [self.aig.input_name(i) for i in self.support(functional=functional)]
 
-    def is_constant(self) -> Optional[bool]:
-        """``True``/``False`` when the function is constant, else ``None``."""
-        if self.root == TRUE_LIT:
-            return True
-        if self.root == FALSE_LIT:
-            return False
-        if self.num_inputs <= 16:
-            table = self.truth_table()
-            full = (1 << (1 << self.num_inputs)) - 1
-            if table == 0:
-                return False
-            if table == full:
-                return True
-            return None
-        return None
-
     # -- evaluation --------------------------------------------------------------------
 
     def evaluate(self, values: Sequence[bool] | Mapping[str, bool]) -> bool:

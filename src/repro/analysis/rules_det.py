@@ -235,10 +235,10 @@ class WallClockChecker(Checker):
     category="DET",
     exclude=("utils/rng.py",),
     rationale=(
-        "All randomness flows through utils/rng.py (deterministic_rng / "
-        "job_rng / seeded jobs) so identical runs draw identical streams "
-        "regardless of worker placement; the global random module, "
-        "os.urandom, secrets and uuid4 are unseeded or unseedable."
+        "All randomness flows through utils/rng.py (deterministic_rng) "
+        "so identical runs draw identical streams regardless of worker "
+        "placement; the global random module, os.urandom, secrets and "
+        "uuid4 are unseeded or unseedable."
     ),
 )
 class RngChecker(Checker):

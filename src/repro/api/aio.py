@@ -19,7 +19,7 @@ server wants:
 The request lifecycle is the explicit state machine of
 :mod:`repro.api.lifecycle` (``queued → running → done/cancelled/failed``),
 and reports are fingerprint-identical to the same request run through a
-blocking session with the same backend, seed and cache settings.
+blocking session with the same backend and cache settings.
 
 Example::
 

@@ -2,13 +2,13 @@
 
 :class:`repro.api.request.DecompositionRequest` replaces the kwarg sprawl of
 the legacy ``BiDecomposer``/``EngineOptions`` surface (``jobs``, ``dedup``,
-``seed``, ``cache_dir``, three separately named timeouts, ...) with three
-small immutable config objects, each validated at construction:
+``cache_dir``, three separately named timeouts, ...) with three small
+immutable config objects, each validated at construction:
 
 * :class:`Budgets` — the paper's three nested wall-clock budgets (per QBF
   call, per primary output, per circuit);
 * :class:`Parallelism` — scheduler knobs (worker processes, structural cone
-  dedup, the run seed job seeds derive from);
+  dedup, the executor backend);
 * :class:`CachePolicy` — the persistent (cross-run) cone cache.
 
 Validation errors are one-line :class:`repro.errors.ReproError`\\ s raised at
@@ -26,6 +26,12 @@ from repro.errors import DecompositionError
 def _check_non_negative(value: Optional[float], name: str) -> None:
     if value is not None and value < 0:
         raise DecompositionError(f"{name} must be >= 0 (got {value!r})")
+
+
+def check_bool(value: object, name: str) -> None:
+    """Reject a flag that is not a real ``bool`` (``"false"`` is truthy)."""
+    if not isinstance(value, bool):
+        raise DecompositionError(f"{name} must be true or false (got {value!r})")
 
 
 @dataclass(frozen=True)
@@ -76,9 +82,6 @@ class Parallelism:
     dedup:
         Memoise structurally identical output cones (one partition search,
         replayed for the duplicates).
-    seed:
-        Run seed from which each job's deterministic seed is derived; the
-        current engines are deterministic, so results do not depend on it.
     backend:
         Execution substrate for ``jobs > 1`` — ``"serial"`` (inline,
         deterministic reference), ``"thread"``
@@ -92,12 +95,12 @@ class Parallelism:
 
     jobs: int = 1
     dedup: bool = True
-    seed: int = 0
     backend: str = "process"
 
     def __post_init__(self) -> None:
         if not isinstance(self.jobs, int) or self.jobs < 1:
             raise DecompositionError(f"jobs must be at least 1 (got {self.jobs!r})")
+        check_bool(self.dedup, "dedup")
         # Imported at call time to keep this module free of module-level
         # api -> core imports (import-order hygiene, not a cost saving: by
         # the time a Parallelism is constructed the core stack is loaded

@@ -15,11 +15,22 @@ from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 from repro.aig.aig import AIG
-from repro.api.config import Budgets, CachePolicy, Parallelism
+from repro.api.config import Budgets, CachePolicy, Parallelism, check_bool
 from repro.api.registry import EngineRegistry, default_registry
 from repro.core import qbf_bidec
 from repro.core.spec import EXTRACT_QUANTIFICATION, check_operator
 from repro.errors import DecompositionError
+
+
+def _check_int(value: object, name: str, minimum: Optional[int] = None) -> None:
+    """Reject a count that is not an ``int`` (``bool`` included) or is too small."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, int)
+        or (minimum is not None and value < minimum)
+    ):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise DecompositionError(f"{name} must be an integer{bound} (got {value!r})")
 
 
 @dataclass(frozen=True)
@@ -90,10 +101,15 @@ class DecompositionRequest:
         object.__setattr__(
             self, "engines", default_registry().check_all(engines)
         )
-        if self.max_outputs is not None and self.max_outputs < 1:
-            raise DecompositionError(
-                f"max_outputs must be at least 1 (got {self.max_outputs!r})"
-            )
+        if self.max_outputs is not None:
+            _check_int(self.max_outputs, "max_outputs", minimum=1)
+        _check_int(self.min_support, "min_support")
+        if self.max_support is not None:
+            _check_int(self.max_support, "max_support")
+        if self.name is not None and not isinstance(self.name, str):
+            raise DecompositionError(f"name must be a string (got {self.name!r})")
+        check_bool(self.extract, "extract")
+        check_bool(self.verify, "verify")
         if not (
             isinstance(self.priority, (int, float))
             and not isinstance(self.priority, bool)
@@ -126,7 +142,7 @@ class DecompositionRequest:
         return self.name or self.circuit.name
 
     def to_options(self):
-        """The equivalent legacy :class:`repro.core.engine.EngineOptions`."""
+        """The :class:`repro.core.engine.EngineOptions` the engines run under."""
         from repro.core.engine import EngineOptions
 
         return EngineOptions(
@@ -139,10 +155,6 @@ class DecompositionRequest:
             qbf_backend=self.qbf_backend,
             min_support=self.min_support,
             max_support=self.max_support,
-            jobs=self.parallelism.jobs,
-            dedup=self.parallelism.dedup,
-            seed=self.parallelism.seed,
-            cache_dir=self.cache.directory,
         )
 
     def with_(self, **changes) -> "DecompositionRequest":

@@ -98,13 +98,11 @@ def unit_for_request(request: DecompositionRequest, cache_provider=None):
     from repro.core.engine import BiDecomposer
     from repro.core.scheduler import BatchScheduler, SuiteUnit
 
-    options = request.to_options()
     planner = BatchScheduler(
-        BiDecomposer(options),
-        jobs=options.jobs,
-        dedup=options.dedup,
-        seed=options.seed,
-        cache_dir=options.cache_dir,
+        BiDecomposer(request.to_options()),
+        jobs=request.parallelism.jobs,
+        dedup=request.parallelism.dedup,
+        cache_dir=request.cache.directory,
         cache_max_entries=request.cache.max_entries,
         cache_provider=cache_provider,
     )

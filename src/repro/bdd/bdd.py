@@ -192,36 +192,6 @@ class BDD:
             stack.append(self._high[node])
         return [self._var_names[level] for level in sorted(seen_levels)]
 
-    def count_sat(self, f: BddNode, num_vars: Optional[int] = None) -> int:
-        """Number of satisfying assignments over ``num_vars`` variables."""
-        if num_vars is None:
-            num_vars = len(self._var_names)
-        cache: Dict[BddNode, int] = {}
-
-        def effective_level(node: BddNode) -> int:
-            if node in (FALSE_NODE, TRUE_NODE):
-                return num_vars
-            return self._level[node]
-
-        def count(node: BddNode) -> int:
-            # Number of satisfying assignments over the variables at levels
-            # strictly below (i.e. numerically >=) the node's own level.
-            if node == FALSE_NODE:
-                return 0
-            if node == TRUE_NODE:
-                return 1
-            if node in cache:
-                return cache[node]
-            level = self._level[node]
-            low, high = self._low[node], self._high[node]
-            low_count = count(low) << (effective_level(low) - level - 1)
-            high_count = count(high) << (effective_level(high) - level - 1)
-            result = low_count + high_count
-            cache[node] = result
-            return result
-
-        return count(f) << effective_level(f)
-
     def evaluate(self, f: BddNode, assignment: Mapping[str, bool]) -> bool:
         node = f
         while node not in (FALSE_NODE, TRUE_NODE):

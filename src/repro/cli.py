@@ -186,13 +186,12 @@ def _request_from_args(args: argparse.Namespace, remote: bool) -> DecompositionR
     aig = _load_circuit(args.circuit)
     engines = tuple(args.engine or ["STEP-QD"])
     if remote:
-        parallelism = Parallelism(dedup=not args.no_dedup, seed=args.seed)
+        parallelism = Parallelism(dedup=not args.no_dedup)
         cache = CachePolicy()
     else:
         parallelism = Parallelism(
             jobs=args.jobs,
             dedup=not args.no_dedup,
-            seed=args.seed,
             backend=args.backend,
         )
         cache = CachePolicy(
@@ -561,16 +560,6 @@ def _add_decomposition_flags(parser: argparse.ArgumentParser) -> None:
         "--no-dedup",
         action="store_true",
         help="disable structural dedup of identical output cones",
-    )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help=(
-            "run seed mixed into per-output job seeds (reserved for future "
-            "stochastic components; current engines are deterministic, so "
-            "results do not depend on it) (default: 0)"
-        ),
     )
     parser.add_argument(
         "--fingerprint",

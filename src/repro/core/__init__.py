@@ -26,7 +26,6 @@ from repro.core.executors import (
     ThreadBackend,
 )
 from repro.core.scheduler import BatchScheduler, LiveSuiteScheduler, OutputJob, SuiteUnit
-from repro.core.network import DecompositionNode, RecursiveDecomposer, network_to_aig
 from repro.core.verify import verify_decomposition
 
 __all__ = [
@@ -49,8 +48,5 @@ __all__ = [
     "LiveSuiteScheduler",
     "OutputJob",
     "SuiteUnit",
-    "DecompositionNode",
-    "RecursiveDecomposer",
-    "network_to_aig",
     "verify_decomposition",
 ]

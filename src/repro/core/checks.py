@@ -29,7 +29,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.aig.function import BooleanFunction
 from repro.core.partition import VariablePartition
-from repro.core.spec import AND, OR, XOR, check_operator
+from repro.core.spec import AND, OR, check_operator
 from repro.errors import DecompositionError
 from repro.sat.cnf import CNF
 from repro.sat.solver import Solver
@@ -216,24 +216,3 @@ def check_decomposable(
     if outcome.decomposable is None:
         raise DecompositionError("decomposability check exhausted its budget")
     return outcome.decomposable
-
-
-def check_or_decomposable(
-    function: BooleanFunction, partition: VariablePartition
-) -> bool:
-    """Proposition 1: OR bi-decomposability under a fixed partition."""
-    return check_decomposable(function, OR, partition)
-
-
-def check_and_decomposable(
-    function: BooleanFunction, partition: VariablePartition
-) -> bool:
-    """AND bi-decomposability (dual of the OR check)."""
-    return check_decomposable(function, AND, partition)
-
-
-def check_xor_decomposable(
-    function: BooleanFunction, partition: VariablePartition
-) -> bool:
-    """XOR bi-decomposability (four-copy rectangle condition)."""
-    return check_decomposable(function, XOR, partition)

@@ -78,21 +78,11 @@ class EngineOptions:
     qbf_backend: str = "specialised"
     min_support: int = 2
     max_support: Optional[int] = None
-    # Batch-scheduler knobs (see repro.core.scheduler): worker processes per
-    # circuit, structural dedup of identical cones, the run seed from which
-    # per-output job seeds are derived, and an optional directory for the
-    # persistent (cross-run) cone cache.
-    jobs: int = 1
-    dedup: bool = True
-    seed: int = 0
-    cache_dir: Optional[str] = None
 
     def __post_init__(self) -> None:
         self.extraction = check_extraction(self.extraction)
         if self.qbf_strategy not in qbf_bidec.STRATEGIES:
             raise DecompositionError(f"unknown QBF strategy {self.qbf_strategy!r}")
-        if self.jobs < 1:
-            raise DecompositionError("jobs must be at least 1")
 
     def search_fingerprint(self) -> str:
         """Stable key of every option that can change a partition search.
@@ -100,8 +90,7 @@ class EngineOptions:
         Part of the persistent cone cache's context key: a snapshot taken
         under one set of search budgets/strategies must never be replayed
         under another.  Extraction/verification options are excluded —
-        replay re-runs them against the actual cone — as are the scheduler
-        knobs (jobs, dedup, seed, cache_dir), which never change results.
+        replay re-runs them against the actual cone.
         """
         return (
             f"pct={self.per_call_timeout}|ot={self.output_timeout}"

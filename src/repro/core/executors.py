@@ -13,7 +13,7 @@ small interface:
   context — ``(aig, operator, engines, worker options, circuit_name)`` —
   under the slot the scheduler chose for it.
 * :meth:`ExecutorBackend.submit` schedules one job spec
-  ``(slot, index, output_name, seed, deadline)``; its ``(slot, index,
+  ``(slot, index, output_name, deadline)``; its ``(slot, index,
   record, error)`` result arrives through the hook, from whatever thread
   finished it.
 * :meth:`ExecutorBackend.shutdown` releases the substrate.
@@ -37,10 +37,10 @@ Three implementations cover the useful points of the design space:
     each context crosses the pipe once per job as a pre-pickled blob and
     results come back pickled.
 
-Every backend executes jobs through the same :func:`run_job` body under
-the same derived job seed, so for deterministic engines the three produce
-bit-identical :class:`repro.core.result.OutputResult` records — the
-scheduler's fingerprint-identity guarantee is backend-independent (and
+Every backend executes jobs through the same :func:`run_job` body, so the
+deterministic engines produce bit-identical
+:class:`repro.core.result.OutputResult` records — the scheduler's
+fingerprint-identity guarantee is backend-independent (and
 differential-tested in ``tests/test_executors.py``).
 """
 
@@ -57,7 +57,6 @@ from repro.aig.aig import AIG
 from repro.core.engine import BiDecomposer
 from repro.core.result import OutputResult
 from repro.errors import DecompositionError
-from repro.utils.rng import seeded_job
 from repro.utils.timer import Deadline
 
 BACKEND_SERIAL = "serial"
@@ -71,8 +70,8 @@ BACKENDS = (BACKEND_SERIAL, BACKEND_THREAD, BACKEND_PROCESS)
 # (aig, operator, engines, worker-side EngineOptions, circuit_name).
 ExecutionContext = Tuple[AIG, str, List[str], object, str]
 
-# One job spec: (slot, output index, output name, derived seed, deadline).
-JobSpec = Tuple[int, int, str, int, Optional[Deadline]]
+# One job spec: (slot, output index, output name, deadline).
+JobSpec = Tuple[int, int, str, Optional[Deadline]]
 
 # One result: the job's (slot, index) identity plus its record (None when
 # the job was skipped because its circuit deadline had already expired).
@@ -137,28 +136,25 @@ def run_job(
     worker: a job that starts after expiry returns a ``None`` record (the
     scheduler reports it in ``schedule["skipped"]``), one that starts
     before expiry runs its engines under sub-deadlines capped by the
-    circuit's remaining budget.  The job's derived seed is installed for
-    the duration (thread-locally, so concurrent thread-backend jobs do
-    not see each other's streams).
+    circuit's remaining budget.
 
     ``function`` optionally supplies the cone the planner already
     extracted, saving a re-traversal; only the in-process backends can
     pass it (a pool worker's job identity crosses the pipe bare).
     """
-    slot, index, output_name, seed, deadline = job
+    slot, index, output_name, deadline = job
     if deadline is not None and deadline.expired:
         return slot, index, None
     decomposer, aig, operator, engines, circuit_name = context
-    with seeded_job(seed):
-        record = decomposer.decompose_output(
-            aig,
-            output_name,
-            operator,
-            engines,
-            circuit_name=circuit_name,
-            function=function,
-            deadline=deadline,
-        )
+    record = decomposer.decompose_output(
+        aig,
+        output_name,
+        operator,
+        engines,
+        circuit_name=circuit_name,
+        function=function,
+        deadline=deadline,
+    )
     return slot, index, record
 
 
@@ -449,7 +445,7 @@ def _worker_init(contexts: List[ExecutionContext]) -> None:
 def _worker_run(args: JobSpec) -> JobResult:
     """Run one job in a pool worker, honouring its circuit's deadline.
 
-    ``args`` is ``(slot, index, output_name, seed, deadline)`` where
+    ``args`` is ``(slot, index, output_name, deadline)`` where
     ``slot`` selects the circuit context installed by :func:`_worker_init`.
     The :class:`Deadline` crosses the pipe as plain data; its expiry check
     compares the system-wide monotonic clock, which parent and (forked or

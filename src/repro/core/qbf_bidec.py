@@ -375,23 +375,3 @@ def _bound_schedule(strategy: str, upper: int) -> List[int]:
         intervals.append((low, mid - 1))
         intervals.append((mid + 1, high))
     return order
-
-
-def qbf_decompose_all_targets(
-    checker: RelaxationChecker,
-    bootstrap: Optional[VariablePartition] = None,
-    per_call_timeout: Optional[float] = 4.0,
-    deadline: Optional[Deadline] = None,
-) -> Dict[str, BiDecResult]:
-    """Convenience helper: run STEP-QD, STEP-QB and STEP-QDB on one function."""
-    results = {}
-    for target in TARGETS:
-        sub_deadline = deadline.sub_deadline(None) if deadline is not None else None
-        results[ENGINE_BY_TARGET[target]] = qbf_decompose(
-            checker,
-            target,
-            bootstrap=bootstrap,
-            per_call_timeout=per_call_timeout,
-            deadline=sub_deadline,
-        )
-    return results

@@ -8,8 +8,8 @@ sequential driver's results exactly:
 
 * :class:`BatchScheduler` is the **per-request planner**.  Every primary
   output becomes an :class:`OutputJob` carrying its cone's canonical
-  structural signature, a cost estimate (cone size) and a derived
-  deterministic seed.  Jobs whose cones are structurally identical up to a
+  structural signature and a cost estimate (cone size).  Jobs whose cones
+  are structurally identical up to a
   position-respecting input renaming share one partition search: the first
   job computes, the rest *replay* the memoised result with input names
   mapped positionally (extraction and verification re-run against the
@@ -62,10 +62,6 @@ cone signature: for traversal-order-exact duplicates the replay is
 bit-for-bit what a fresh search would produce, while for merely
 fanin-permuted duplicates it is a valid partition of the same function that
 a fresh search over the permuted encoding might not have chosen.
-
-Every job runs under a seed derived from (run seed, circuit, output name) —
-never from scheduling order or worker identity — so parallel runs are
-bit-for-bit reproducible (:mod:`repro.utils.rng`).
 """
 
 from __future__ import annotations
@@ -99,7 +95,6 @@ from repro.errors import DecompositionError
 from repro.obs.registry import MetricsRegistry
 from repro.obs.registry import default_registry as obs_registry
 from repro.sat.solver import active_kernel_name
-from repro.utils.rng import derive_seed, seeded_job
 from repro.utils.timer import Deadline, Stopwatch, monotonic
 
 # File name of the persistent cone cache inside ``cache_dir``.
@@ -176,7 +171,6 @@ class OutputJob:
     num_support: int
     input_names: Tuple[str, ...]
     cost: int
-    seed: int
     cache_key: Optional[tuple]
     function: Optional[BooleanFunction] = None
 
@@ -221,8 +215,6 @@ class BatchScheduler:
         reports it, and above 1 planning computes dispatch costs.
     dedup:
         Memoise structurally identical cones (see module docstring).
-    seed:
-        Run seed from which every job's seed is derived.
     cache_dir:
         Directory for the persistent (cross-run) cone cache; ``None`` keeps
         the cache in-memory only.  Only meaningful with ``dedup``.
@@ -245,7 +237,6 @@ class BatchScheduler:
         decomposer: BiDecomposer,
         jobs: int = 1,
         dedup: bool = True,
-        seed: int | str | None = 0,
         cache_dir: Optional[str] = None,
         cache_max_entries: Optional[int] = None,
         cache_provider=None,
@@ -255,7 +246,6 @@ class BatchScheduler:
         self._decomposer = decomposer
         self.jobs = jobs
         self.dedup = dedup
-        self.seed = seed
         self.cache_dir = cache_dir
         self.cache_max_entries = cache_max_entries
         self._cache_provider = cache_provider
@@ -266,7 +256,6 @@ class BatchScheduler:
         self,
         aig: AIG,
         max_outputs: Optional[int] = None,
-        circuit_name: Optional[str] = None,
         deadline: Optional[Deadline] = None,
     ) -> List[OutputJob]:
         """Build the job list: one entry per primary output, in output order.
@@ -277,7 +266,6 @@ class BatchScheduler:
         runs) consumes an O(circuit-size) slice of the budget that the old
         interleaved driver spent output by output.
         """
-        circuit = circuit_name or aig.name
         options = self._decomposer.options
         jobs: List[OutputJob] = []
         for index, (name, _) in enumerate(aig.outputs):
@@ -319,7 +307,6 @@ class BatchScheduler:
                     num_support=function.num_inputs,
                     input_names=names,
                     cost=cost,
-                    seed=derive_seed(self.seed, circuit, name),
                     cache_key=cache_key,
                     function=function,
                 )
@@ -344,12 +331,7 @@ class BatchScheduler:
             aig = aig.make_combinational()
         report = CircuitReport(circuit=circuit_name or aig.name, operator=operator)
         deadline = Deadline(circuit_timeout) if circuit_timeout is not None else None
-        jobs = self.plan(
-            aig,
-            max_outputs=max_outputs,
-            circuit_name=report.circuit,
-            deadline=deadline,
-        )
+        jobs = self.plan(aig, max_outputs=max_outputs, deadline=deadline)
         cache = ConeCache(enabled=self.dedup)
         persistent, context = self._open_persistent_cache(operator, engines)
         warmed = persistent.warm(cache, context) if persistent is not None else 0
@@ -470,16 +452,15 @@ class BatchScheduler:
             entry = cache.lookup(job.cache_key)
             if entry is not None:
                 return self._replay(aig, job, operator, entry)
-        with seeded_job(job.seed):
-            record = self._decomposer.decompose_output(
-                aig,
-                job.output_name,
-                operator,
-                engines,
-                circuit_name=circuit_name,
-                function=job.function,
-                deadline=deadline,
-            )
+        record = self._decomposer.decompose_output(
+            aig,
+            job.output_name,
+            operator,
+            engines,
+            circuit_name=circuit_name,
+            function=job.function,
+            deadline=deadline,
+        )
         if job.cache_key is not None and _replayable(record):
             cache.store(job.cache_key, (job.input_names, record))
         return record
@@ -516,10 +497,7 @@ class BatchScheduler:
         persist — those happen in the parent against its own AIG, so results
         do not ship whole worker-side AIG copies through the pipe.
         """
-        return replace(
-            self._decomposer.options, jobs=1, extract=False, verify=False,
-            cache_dir=None,
-        )
+        return replace(self._decomposer.options, extract=False, verify=False)
 
     def absorb_worker_record(
         self, prepared: PreparedRun, job: OutputJob, record: OutputResult
@@ -639,8 +617,8 @@ class SuiteUnit:
     parameters.
 
     Each request is deliberately coupled to its *own*
-    :class:`BatchScheduler` (options, dedup cache, persistent snapshot,
-    seed) so it stays fingerprint-identical to running it alone — only the
+    :class:`BatchScheduler` (options, dedup cache, persistent snapshot)
+    so it stays fingerprint-identical to running it alone — only the
     executor backend is shared.
 
     ``priority`` weights the unit in the fair queue: a unit of priority 2
@@ -898,7 +876,7 @@ class LiveSuiteScheduler:
     * **complete** independently — once a unit's primaries are back (and
       every cross-circuit twin it waits on) its followers replay locally
       and its report finalizes exactly as a standalone run's would (same
-      per-unit cache, deadline and seed machinery, so fingerprints match
+      per-unit cache and deadline machinery, so fingerprints match
       solo runs).
 
     On the serial backend a request runs to completion inside
@@ -1216,7 +1194,7 @@ class LiveSuiteScheduler:
                 self._jobs_dispatched.inc(backend=self.backend)
                 unit.ticket.mark_running()
                 self._backend_impl.submit(
-                    (slot, job.index, job.output_name, job.seed, prepared.deadline),
+                    (slot, job.index, job.output_name, prepared.deadline),
                     job.function,
                 )
         finally:

@@ -2,27 +2,16 @@
 
 The paper solves its bi-decomposition models with the 2QBF abstraction-
 refinement algorithm AReQS (Janota & Marques-Silva, SAT'11).  This subpackage
-reimplements that machinery:
-
-* :class:`repro.qbf.formula.QbfFormula` — prenex-CNF QBF container with
-  QDIMACS reading and writing.
-* :func:`repro.qbf.expansion.solve_by_expansion` — an exact
-  universal-expansion solver for small prenex formulas, used for testing and
-  cross-validation.
-* :class:`repro.qbf.cegar.CegarTwoQbfSolver` — the AReQS-style CEGAR solver
-  for 2QBF formulas ``exists E forall U . phi`` whose matrix ``phi`` is given
-  as an AIG cone (so both the matrix and its negation have compact CNF
-  encodings, exactly the trick the paper describes in section IV.A.5).
+reimplements that machinery as :class:`repro.qbf.cegar.CegarTwoQbfSolver`,
+the AReQS-style CEGAR solver for 2QBF formulas ``exists E forall U . phi``
+whose matrix ``phi`` is given as an AIG cone (so both the matrix and its
+negation have compact CNF encodings, exactly the trick the paper describes
+in section IV.A.5).
 """
 
-from repro.qbf.formula import QbfFormula, QuantifierBlock
-from repro.qbf.expansion import solve_by_expansion
 from repro.qbf.cegar import CegarTwoQbfSolver, CegarResult
 
 __all__ = [
-    "QbfFormula",
-    "QuantifierBlock",
-    "solve_by_expansion",
     "CegarTwoQbfSolver",
     "CegarResult",
 ]

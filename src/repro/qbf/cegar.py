@@ -21,7 +21,7 @@ If the candidate solver becomes unsatisfiable the formula is false.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.aig.function import BooleanFunction
 from repro.errors import SolverError
@@ -99,20 +99,6 @@ class CegarTwoQbfSolver:
         self._verify_solver.add_cnf(verify_cnf)
 
     # -- candidate constraints --------------------------------------------------
-
-    def add_exist_clause(self, clause: Sequence[Tuple[str, bool]]) -> None:
-        """Add a clause over existential inputs to the candidate solver.
-
-        Each item is ``(name, polarity)``; ``(x, True)`` is the positive
-        literal of ``x``.  This is how callers express side constraints such
-        as the paper's ``fN`` / ``fT`` requirements when they are already in
-        clausal form.
-        """
-        lits = []
-        for name, polarity in clause:
-            var = self._exist_vars[name]
-            lits.append(var if polarity else -var)
-        self._candidate_solver.add_clause(lits)
 
     def add_exist_cnf(self, cnf: CNF, var_map: Dict[str, int]) -> None:
         """Add a CNF over existential inputs (plus fresh auxiliaries).

@@ -3,8 +3,8 @@
 This subpackage contains everything the paper's tool STEP obtains from
 MiniSAT-class solvers and from MUSer:
 
-* :mod:`repro.sat.cnf` — CNF formula container and DIMACS I/O.
-* :mod:`repro.sat.tseitin` — clausal encodings of logic gates.
+* :mod:`repro.sat.cnf` — CNF formula container.
+* :mod:`repro.sat.tseitin` — clausal XOR and relaxation encodings.
 * :mod:`repro.sat.cardinality` — AtMost-k / AtLeast-k constraint encodings
   used for the paper's ``fN`` and ``fT`` constraints.
 * :mod:`repro.sat.solver` — a CDCL SAT solver (watched literals, VSIDS,
@@ -24,7 +24,6 @@ from repro.sat.cardinality import (
     at_most_one,
     at_most_k,
     at_least_k,
-    exactly_k,
 )
 from repro.sat.mus import MusExtractor, GroupMusExtractor
 
@@ -37,7 +36,6 @@ __all__ = [
     "at_most_one",
     "at_most_k",
     "at_least_k",
-    "exactly_k",
     "MusExtractor",
     "GroupMusExtractor",
 ]

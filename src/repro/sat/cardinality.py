@@ -88,12 +88,6 @@ def at_least_k(cnf: CNF, lits: Sequence[int], k: int, encoding: str = "seqcounte
     at_most_k(cnf, [-l for l in lits], len(lits) - k, encoding=encoding)
 
 
-def exactly_k(cnf: CNF, lits: Sequence[int], k: int, encoding: str = "seqcounter") -> None:
-    """Assert that exactly ``k`` of ``lits`` are true."""
-    at_most_k(cnf, lits, k, encoding=encoding)
-    at_least_k(cnf, lits, k, encoding=encoding)
-
-
 def _seqcounter_at_most_k(cnf: CNF, lits: Sequence[int], k: int) -> None:
     """Sinz's sequential (unary) counter encoding of AtMost-k.
 

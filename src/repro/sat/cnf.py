@@ -1,4 +1,4 @@
-"""Conjunctive normal form containers and DIMACS serialisation.
+"""Conjunctive normal form containers.
 
 Literals follow the DIMACS convention: a variable is a positive integer and
 its negation is the corresponding negative integer.  Zero is never a valid
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, List, Sequence, Tuple
 
-from repro.errors import CnfError, ParseError
+from repro.errors import CnfError
 
 Clause = Tuple[int, ...]
 
@@ -20,22 +20,6 @@ def check_literal(lit: int) -> int:
     if not isinstance(lit, int) or isinstance(lit, bool) or lit == 0:
         raise CnfError(f"invalid literal: {lit!r}")
     return lit
-
-
-def normalize_clause(lits: Iterable[int]) -> Clause | None:
-    """Sort a clause, drop duplicate literals, detect tautologies.
-
-    Returns ``None`` when the clause is a tautology (contains ``x`` and
-    ``-x``), otherwise a tuple of distinct literals in ascending
-    ``(var, sign)`` order.
-    """
-    seen = set()
-    for lit in lits:
-        check_literal(lit)
-        if -lit in seen:
-            return None
-        seen.add(lit)
-    return tuple(sorted(seen, key=lambda l: (abs(l), l < 0)))
 
 
 class CNF:
@@ -114,56 +98,6 @@ class CNF:
             ):
                 return False
         return True
-
-    # -- DIMACS --------------------------------------------------------------
-
-    def to_dimacs(self) -> str:
-        """Serialise to the standard DIMACS CNF text format."""
-        lines = [f"p cnf {self.num_vars} {len(self.clauses)}"]
-        for clause in self.clauses:
-            lines.append(" ".join(str(l) for l in clause) + " 0")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_dimacs(cls, text: str, filename: str = "<string>") -> "CNF":
-        """Parse a DIMACS CNF string.
-
-        The parser is liberal: clause literals may span multiple lines and
-        the header clause count is not enforced, matching common solver
-        behaviour.
-        """
-        cnf = cls()
-        declared_vars = None
-        pending: List[int] = []
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line or line.startswith("c"):
-                continue
-            if line.startswith("p"):
-                parts = line.split()
-                if len(parts) != 4 or parts[1] != "cnf":
-                    raise ParseError("malformed problem line", filename, lineno)
-                try:
-                    declared_vars = int(parts[2])
-                    int(parts[3])
-                except ValueError as exc:
-                    raise ParseError(f"malformed problem line: {exc}", filename, lineno)
-                continue
-            for token in line.split():
-                try:
-                    lit = int(token)
-                except ValueError as exc:
-                    raise ParseError(f"invalid literal {token!r}: {exc}", filename, lineno)
-                if lit == 0:
-                    cnf.add_clause(pending)
-                    pending = []
-                else:
-                    pending.append(lit)
-        if pending:
-            cnf.add_clause(pending)
-        if declared_vars is not None:
-            cnf.num_vars = max(cnf.num_vars, declared_vars)
-        return cnf
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"CNF(num_vars={self.num_vars}, num_clauses={len(self.clauses)})"

@@ -1103,17 +1103,3 @@ def _luby(index: int) -> int:
         level -= 1
         index %= size
     return 1 << level
-
-
-def solve_cnf(
-    cnf: CNF,
-    assumptions: Sequence[int] = (),
-    conflict_budget: Optional[int] = None,
-    deadline: Optional[Deadline] = None,
-) -> SolveResult:
-    """One-shot convenience wrapper: solve a :class:`CNF` formula."""
-    solver = Solver()
-    solver.add_cnf(cnf)
-    return solver.solve(
-        assumptions=assumptions, conflict_budget=conflict_budget, deadline=deadline
-    )

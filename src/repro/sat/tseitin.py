@@ -1,41 +1,14 @@
-"""Clausal (Tseitin) encodings of Boolean gates.
+"""Clausal (Tseitin) encodings of the gates the AIG encoding lacks.
 
 Each function receives DIMACS literals and appends to a :class:`CNF` the
-clauses asserting that the output literal is equivalent to the gate applied
-to its inputs.  These encoders are the building blocks for translating AIGs
-(:mod:`repro.aig.cnf`), the bi-decomposition matrix (formula (2) of the
-paper) and the ``fN``/``fT`` constraint circuits into CNF.
+clauses of one gate.  AND gates come from :mod:`repro.aig.cnf`; these two
+cover the XOR miter and the relaxation clauses of the bi-decomposition
+matrix (formula (2) of the paper).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
-
 from repro.sat.cnf import CNF, check_literal
-
-
-def encode_and(cnf: CNF, out: int, inputs: Sequence[int]) -> None:
-    """Assert ``out <-> AND(inputs)``.  An empty conjunction is true."""
-    check_literal(out)
-    inputs = [check_literal(l) for l in inputs]
-    if not inputs:
-        cnf.add_unit(out)
-        return
-    for lit in inputs:
-        cnf.add_clause((-out, lit))
-    cnf.add_clause(tuple(-lit for lit in inputs) + (out,))
-
-
-def encode_or(cnf: CNF, out: int, inputs: Sequence[int]) -> None:
-    """Assert ``out <-> OR(inputs)``.  An empty disjunction is false."""
-    check_literal(out)
-    inputs = [check_literal(l) for l in inputs]
-    if not inputs:
-        cnf.add_unit(-out)
-        return
-    for lit in inputs:
-        cnf.add_clause((-lit, out))
-    cnf.add_clause(tuple(inputs) + (-out,))
 
 
 def encode_xor(cnf: CNF, out: int, a: int, b: int) -> None:
@@ -47,39 +20,6 @@ def encode_xor(cnf: CNF, out: int, a: int, b: int) -> None:
     cnf.add_clause((-out, -a, -b))
     cnf.add_clause((out, -a, b))
     cnf.add_clause((out, a, -b))
-
-
-def encode_equiv(cnf: CNF, a: int, b: int) -> None:
-    """Assert ``a <-> b``."""
-    check_literal(a)
-    check_literal(b)
-    cnf.add_clause((-a, b))
-    cnf.add_clause((a, -b))
-
-
-def encode_iff(cnf: CNF, out: int, a: int, b: int) -> None:
-    """Assert ``out <-> (a <-> b)`` (an XNOR gate)."""
-    encode_xor(cnf, out, a, -b)
-
-
-def encode_ite(cnf: CNF, out: int, sel: int, then_lit: int, else_lit: int) -> None:
-    """Assert ``out <-> (sel ? then_lit : else_lit)``."""
-    for lit in (out, sel, then_lit, else_lit):
-        check_literal(lit)
-    cnf.add_clause((-sel, -then_lit, out))
-    cnf.add_clause((-sel, then_lit, -out))
-    cnf.add_clause((sel, -else_lit, out))
-    cnf.add_clause((sel, else_lit, -out))
-    # Redundant but propagation-strengthening clauses.
-    cnf.add_clause((-then_lit, -else_lit, out))
-    cnf.add_clause((then_lit, else_lit, -out))
-
-
-def encode_implies(cnf: CNF, a: int, b: int) -> None:
-    """Assert ``a -> b``."""
-    check_literal(a)
-    check_literal(b)
-    cnf.add_clause((-a, b))
 
 
 def encode_relaxed_equiv(cnf: CNF, a: int, b: int, relax: int) -> None:

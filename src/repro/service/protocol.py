@@ -318,8 +318,8 @@ def encode_request(request: DecompositionRequest) -> Dict[str, object]:
     Execution placement (``Parallelism.jobs``/``backend``) and the cache
     *location* stay out of the frame deliberately: the daemon owns its
     executor and its cache directory; the client owns everything that
-    defines the decomposition itself (operator, engines, budgets, seed,
-    dedup, priority, search options).
+    defines the decomposition itself (operator, engines, budgets, dedup,
+    priority, search options).
     """
     return {
         "circuit": encode_circuit(request.circuit),
@@ -331,7 +331,6 @@ def encode_request(request: DecompositionRequest) -> Dict[str, object]:
             "per_circuit": request.budgets.per_circuit,
         },
         "dedup": request.parallelism.dedup,
-        "seed": request.parallelism.seed,
         "name": request.name,
         "priority": request.priority,
         "max_outputs": request.max_outputs,
@@ -359,7 +358,7 @@ def decode_request(
     try:
         circuit = decode_circuit(payload["circuit"])
         budgets = payload.get("budgets") or {}
-        dedup = bool(payload.get("dedup", True))
+        dedup = payload.get("dedup", True)
         policy = CachePolicy()
         if cache is not None and cache.directory is not None and dedup:
             policy = cache
@@ -372,17 +371,17 @@ def decode_request(
                 per_output=budgets.get("per_output"),
                 per_circuit=budgets.get("per_circuit"),
             ),
-            parallelism=Parallelism(dedup=dedup, seed=int(payload.get("seed", 0))),
+            parallelism=Parallelism(dedup=dedup),
             cache=policy,
             name=payload.get("name"),
             priority=float(payload.get("priority", 1.0)),
             max_outputs=payload.get("max_outputs"),
-            extract=bool(payload.get("extract", True)),
-            verify=bool(payload.get("verify", False)),
+            extract=payload.get("extract", True),
+            verify=payload.get("verify", False),
             extraction=str(payload.get("extraction", "quantification")),
             qbf_strategy=str(payload.get("qbf_strategy", "auto")),
             qbf_backend=str(payload.get("qbf_backend", "specialised")),
-            min_support=int(payload.get("min_support", 2)),
+            min_support=payload.get("min_support", 2),
             max_support=payload.get("max_support"),
         )
     except ProtocolError:

@@ -677,12 +677,18 @@ class ReproRouter:
 
     def _bind(self, link: _ShardLink, reply: dict, pending: _PendingRequest) -> None:
         """Register the shard-local id — synchronously, inside the link
-        reader, so no event of this request can outrun its route entry."""
+        reader, so no event of this request can outrun its route entry.
+
+        A request the client cancelled before this reply gets no route:
+        the reader may relay its shard result before :meth:`_dispatch`
+        resumes to honour the cancel, so the shard's frames are dropped.
+        """
         local_id = reply.get("id")
         if reply.get("type") == "event" and isinstance(local_id, int):
             pending.shard = link
             pending.local_id = local_id
-            link.routes[local_id] = pending
+            if not pending.cancel_requested:
+                link.routes[local_id] = pending
 
     async def _finish(
         self, pending: _PendingRequest, state: str, error: Optional[str] = None

@@ -1,45 +1,16 @@
 """Deterministic random number generation.
 
-Every stochastic component in the library (random circuit generators, random
-decision tie-breaking, benchmark workload synthesis) obtains its generator
-through :func:`deterministic_rng` so that test runs and benchmark tables are
+Every stochastic component in the library (random circuit generators,
+benchmark workload synthesis) obtains its generator through
+:func:`deterministic_rng` so that test runs and benchmark tables are
 reproducible bit-for-bit across machines.
-
-The batch scheduler (:mod:`repro.core.scheduler`) extends this to parallel
-runs: every per-output job gets a seed derived from the run seed and the
-job's identity via :func:`derive_seed`, installed for the duration of the
-job with :func:`seeded_job`.  Because the derivation depends only on *what*
-the job is — never on which worker runs it or in which order — a run with
-``jobs=4`` draws exactly the same random streams as a run with ``jobs=1``.
 """
 
 from __future__ import annotations
 
 import random
-import threading
-from contextlib import contextmanager
-from typing import Iterator, Optional
 
 Seed = int | str | None
-
-_MASK64 = 0xFFFFFFFFFFFFFFFF
-
-# The RNG of the currently executing scheduler job (None outside jobs).
-# Thread-local so thread-backend jobs running concurrently in one process
-# each see their own stream, exactly like pool workers in their own
-# processes do.
-_JOB_STATE = threading.local()
-
-
-def _stable_hash(seed: int | str) -> int:
-    """A stable (non-randomised) 64-bit hash of an int or string seed."""
-    if isinstance(seed, int):
-        return seed & _MASK64
-    value = 0xCBF29CE484222325  # FNV-1a offset basis
-    for ch in seed:
-        value ^= ord(ch)
-        value = (value * 0x100000001B3) & _MASK64
-    return value
 
 
 def deterministic_rng(seed: Seed = 0) -> random.Random:
@@ -54,48 +25,3 @@ def deterministic_rng(seed: Seed = 0) -> random.Random:
             value = (value * 131 + ord(ch)) & 0xFFFFFFFF
         seed = value
     return random.Random(seed)
-
-
-def derive_seed(base: Seed, *tokens: int | str) -> int:
-    """Mix a base seed with identity tokens into a new 64-bit seed.
-
-    Used by the scheduler to give every per-output job its own reproducible
-    stream: ``derive_seed(run_seed, circuit_name, output_name)`` depends only
-    on the job's identity, never on scheduling order or worker placement.
-    """
-    value = _stable_hash(0 if base is None else base)
-    for token in tokens:
-        value ^= _stable_hash(token)
-        # splitmix64 finaliser: decorrelates neighbouring token values.
-        value = (value + 0x9E3779B97F4A7C15) & _MASK64
-        value = ((value ^ (value >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        value = ((value ^ (value >> 27)) * 0x94D049BB133111EB) & _MASK64
-        value ^= value >> 31
-    return value
-
-
-def job_rng() -> random.Random:
-    """The RNG of the current scheduler job (a fresh default outside jobs).
-
-    No engine draws from this yet — the current engines are deterministic
-    functions of the cone.  A future stochastic component that does must
-    stay *result-invariant* across seeds (e.g. randomised restarts that
-    still converge to the canonical answer), or the scheduler's cone cache
-    key has to incorporate the job seed; otherwise dedup would replay the
-    primary job's stream for its duplicates (noted in ROADMAP.md).
-    """
-    rng: Optional[random.Random] = getattr(_JOB_STATE, "rng", None)
-    if rng is not None:
-        return rng
-    return deterministic_rng(0)
-
-
-@contextmanager
-def seeded_job(seed: Seed) -> Iterator[random.Random]:
-    """Install a job-scoped deterministic RNG for the duration of a job."""
-    previous = getattr(_JOB_STATE, "rng", None)
-    _JOB_STATE.rng = deterministic_rng(seed)
-    try:
-        yield _JOB_STATE.rng
-    finally:
-        _JOB_STATE.rng = previous

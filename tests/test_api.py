@@ -41,6 +41,20 @@ from repro.core.spec import ENGINE_LJH, ENGINE_STEP_MG, ENGINE_STEP_QD
 from repro.errors import DecompositionError, ReproError
 
 
+# Mistyped or out-of-range request fields, each rejected at construction.
+BAD_REQUEST_FIELDS = [
+    ("max_outputs", 0),
+    ("max_outputs", 1.5),
+    ("max_outputs", True),
+    ("min_support", "2"),
+    ("max_support", "4"),
+    ("max_support", False),
+    ("name", [1]),
+    ("extract", "false"),
+    ("verify", 1),
+]
+
+
 def request_for(aig, engines=(ENGINE_STEP_MG,), **kwargs):
     return DecompositionRequest(
         circuit=aig, operator="or", engines=tuple(engines), **kwargs
@@ -116,9 +130,19 @@ class TestRequestValidation:
                 circuit=adder3, operator="nand", engines=(ENGINE_STEP_MG,)
             )
 
-    def test_max_outputs_must_be_at_least_one(self, adder3):
-        with pytest.raises(ReproError, match="max_outputs"):
-            request_for(adder3, max_outputs=0)
+    @pytest.mark.parametrize(
+        "field, value",
+        BAD_REQUEST_FIELDS,
+        ids=[f"{field}={value!r}" for field, value in BAD_REQUEST_FIELDS],
+    )
+    def test_max_outputs_must_be_at_least_one(self, adder3, field, value):
+        with pytest.raises(DecompositionError, match=f"^{field} must be"):
+            request_for(adder3, **{field: value})
+
+    @pytest.mark.parametrize("value", ["false", 0, None])
+    def test_dedup_must_be_a_bool(self, value):
+        with pytest.raises(DecompositionError, match="^dedup must be"):
+            Parallelism(dedup=value)
 
     def test_cache_directory_requires_dedup(self, adder3, tmp_path):
         with pytest.raises(ReproError, match="dedup"):
@@ -142,13 +166,11 @@ class TestRequestValidation:
         request = request_for(
             adder3,
             budgets=Budgets(per_call=2.0, per_output=10.0),
-            parallelism=Parallelism(jobs=3, dedup=False, seed=9),
             verify=True,
         )
         options = request.to_options()
         assert options.per_call_timeout == 2.0
         assert options.output_timeout == 10.0
-        assert options.jobs == 3 and options.dedup is False and options.seed == 9
         assert options.verify is True
 
     def test_with_replaces_and_revalidates(self, adder3):
@@ -754,7 +776,6 @@ class TestAsyncSession:
                     num_support=2,
                     input_names=(),
                     cost=10,
-                    seed=0,
                     cache_key=None,
                 )
                 for i in range(count)
@@ -781,7 +802,6 @@ class TestAsyncSession:
                 num_support=2,
                 input_names=(),
                 cost=1,
-                seed=0,
                 cache_key=None,
             )
 

@@ -104,15 +104,6 @@ class TestSemantics:
         f = bdd.apply_and(bdd.var("a"), bdd.var("c"))
         assert bdd.support(f) == ["a", "c"]
 
-    def test_count_sat(self):
-        bdd = BDD(["a", "b", "c"])
-        a, b, c = bdd.var("a"), bdd.var("b"), bdd.var("c")
-        assert bdd.count_sat(bdd.apply_and(a, b), 3) == 2
-        assert bdd.count_sat(bdd.apply_or(a, b), 3) == 6
-        assert bdd.count_sat(TRUE_NODE, 3) == 8
-        assert bdd.count_sat(FALSE_NODE, 3) == 0
-        assert bdd.count_sat(c, 3) == 4
-
 
 class TestConversions:
     @settings(max_examples=40, deadline=None)

@@ -14,7 +14,6 @@ from repro.sat.cardinality import (
     at_least_one,
     at_most_k,
     at_most_one,
-    exactly_k,
     totalizer_outputs,
 )
 from repro.sat.cnf import CNF
@@ -111,13 +110,6 @@ class TestAtLeastK:
         solver = Solver()
         solver.add_cnf(cnf)
         assert solver.solve().status is False
-
-
-class TestExactlyK:
-    @pytest.mark.parametrize("n,k", [(3, 0), (3, 1), (4, 2)])
-    def test_exact_semantics(self, n, k):
-        accepted = _accepted_counts(lambda cnf, lits: exactly_k(cnf, lits, k), n)
-        assert accepted == {k}
 
 
 class TestTotalizerOutputs:

@@ -9,13 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.aig.function import BooleanFunction
 from repro.circuits.generators import decomposable_by_construction, parity_tree
-from repro.core.checks import (
-    RelaxationChecker,
-    check_and_decomposable,
-    check_decomposable,
-    check_or_decomposable,
-    check_xor_decomposable,
-)
+from repro.core.checks import RelaxationChecker, check_decomposable
 from repro.core.partition import VariablePartition
 from repro.errors import DecompositionError
 
@@ -42,9 +36,9 @@ class TestKnownCases:
         f = BooleanFunction.from_truth_table(table, 4)
         names = f.input_names
         good = VariablePartition((names[0], names[1]), (names[2], names[3]), ())
-        assert check_or_decomposable(f, good)
+        assert check_decomposable(f, "or", good)
         # The same partition is not AND-decomposable.
-        assert not check_and_decomposable(f, good)
+        assert not check_decomposable(f, "and", good)
 
     def test_and_of_disjoint_disjunctions(self):
         table = 0
@@ -55,22 +49,22 @@ class TestKnownCases:
         f = BooleanFunction.from_truth_table(table, 4)
         names = f.input_names
         good = VariablePartition((names[0], names[1]), (names[2], names[3]), ())
-        assert check_and_decomposable(f, good)
-        assert not check_or_decomposable(f, good)
+        assert check_decomposable(f, "and", good)
+        assert not check_decomposable(f, "or", good)
 
     def test_parity_xor_everywhere(self):
         f = BooleanFunction.from_output(parity_tree(4), "p")
         names = f.input_names
         for split in range(1, 4):
             partition = VariablePartition(tuple(names[:split]), tuple(names[split:]), ())
-            assert check_xor_decomposable(f, partition)
+            assert check_decomposable(f, "xor", partition)
 
     def test_two_input_xor_not_or_decomposable(self):
         f = BooleanFunction.from_truth_table(0b0110, 2)
         names = f.input_names
         partition = VariablePartition((names[0],), (names[1],), ())
-        assert not check_or_decomposable(f, partition)
-        assert check_xor_decomposable(f, partition)
+        assert not check_decomposable(f, "or", partition)
+        assert check_decomposable(f, "xor", partition)
 
     def test_trivial_partition_rejected(self):
         f = BooleanFunction.from_truth_table(0b0110, 2)
@@ -181,7 +175,7 @@ class TestAgainstReference:
         f = BooleanFunction.from_truth_table(table, 3)
         names = f.input_names
         partition = VariablePartition((names[0],), (names[1],), (names[2],))
-        sat_answer = check_or_decomposable(f, partition)
+        sat_answer = check_decomposable(f, "or", partition)
         bdd_answer = bdd_check_decomposable(
             f, "or", [names[0]], [names[1]], [names[2]]
         )

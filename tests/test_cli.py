@@ -103,8 +103,6 @@ class TestDecompose:
                 "STEP-MG",
                 "--jobs",
                 "2",
-                "--seed",
-                "3",
             ]
         )
         assert code == 0

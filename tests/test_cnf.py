@@ -1,9 +1,9 @@
-"""Tests for the CNF container and DIMACS I/O."""
+"""Tests for the CNF container."""
 
 import pytest
 
-from repro.errors import CnfError, ParseError
-from repro.sat.cnf import CNF, check_literal, normalize_clause
+from repro.errors import CnfError
+from repro.sat.cnf import CNF, check_literal
 
 
 class TestCheckLiteral:
@@ -24,17 +24,6 @@ class TestCheckLiteral:
     def test_non_int_rejected(self):
         with pytest.raises(CnfError):
             check_literal("x")
-
-
-class TestNormalizeClause:
-    def test_sorts_by_variable(self):
-        assert normalize_clause([3, -1, 2]) == (-1, 2, 3)
-
-    def test_removes_duplicates(self):
-        assert normalize_clause([1, 1, 2]) == (1, 2)
-
-    def test_detects_tautology(self):
-        assert normalize_clause([1, -1, 2]) is None
 
 
 class TestCnfConstruction:
@@ -112,42 +101,3 @@ class TestEvaluate:
     def test_falsified(self):
         cnf = CNF(clauses=[[1], [-1]])
         assert not cnf.evaluate({1: True})
-
-
-class TestDimacs:
-    def test_roundtrip(self):
-        cnf = CNF(clauses=[[1, -2], [2, 3], [-3]])
-        text = cnf.to_dimacs()
-        parsed = CNF.from_dimacs(text)
-        assert parsed.clauses == cnf.clauses
-        assert parsed.num_vars == cnf.num_vars
-
-    def test_header_line(self):
-        cnf = CNF(clauses=[[1, 2]])
-        assert cnf.to_dimacs().splitlines()[0] == "p cnf 2 1"
-
-    def test_parse_comments_and_blanks(self):
-        text = "c comment\n\np cnf 3 2\n1 -2 0\nc another\n2 3 0\n"
-        cnf = CNF.from_dimacs(text)
-        assert len(cnf) == 2
-        assert cnf.num_vars == 3
-
-    def test_parse_clause_spanning_lines(self):
-        cnf = CNF.from_dimacs("p cnf 3 1\n1 2\n3 0\n")
-        assert cnf.clauses == [(1, 2, 3)]
-
-    def test_parse_declared_vars_respected(self):
-        cnf = CNF.from_dimacs("p cnf 10 1\n1 0\n")
-        assert cnf.num_vars == 10
-
-    def test_malformed_header_raises(self):
-        with pytest.raises(ParseError):
-            CNF.from_dimacs("p cnf oops 1\n1 0\n")
-
-    def test_bad_literal_raises(self):
-        with pytest.raises(ParseError):
-            CNF.from_dimacs("p cnf 2 1\n1 x 0\n")
-
-    def test_trailing_clause_without_zero(self):
-        cnf = CNF.from_dimacs("p cnf 2 1\n1 2\n")
-        assert cnf.clauses == [(1, 2)]

@@ -314,7 +314,6 @@ class TestFairDispatch:
             num_support=3,
             input_names=(),
             cost=cost,
-            seed=0,
             cache_key=None,
         )
 

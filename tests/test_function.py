@@ -46,8 +46,8 @@ class TestConstruction:
             BooleanFunction(aig, g, [aig.input_by_name("a")])
 
     def test_constant_functions(self):
-        assert BooleanFunction.constant(True).is_constant() is True
-        assert BooleanFunction.constant(False).is_constant() is False
+        assert BooleanFunction.constant(True).truth_table() == 1
+        assert BooleanFunction.constant(False).truth_table() == 0
 
     def test_from_truth_table_roundtrip(self):
         table = 0b01101001  # 3-input XNOR-ish pattern
@@ -92,9 +92,6 @@ class TestEvaluation:
 
     def test_support_names(self):
         assert _majority3().support_names() == ["a", "b", "c"]
-
-    def test_is_constant_none_for_nonconstant(self):
-        assert _xor3().is_constant() is None
 
 
 class TestCofactorsAndQuantification:
@@ -277,5 +274,4 @@ def test_truth_table_is_simulated_once():
     assert f.truth_table() == 0b11101000
     f.aig = None  # a second simulation would need the graph
     assert f.truth_table() == 0b11101000
-    assert f.is_constant() is None
     assert f.count_minterms() == 4

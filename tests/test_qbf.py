@@ -1,136 +1,13 @@
-"""Tests for the QBF substrate: formulas, QDIMACS, expansion and CEGAR."""
+"""Tests for the CEGAR 2QBF solver."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.aig.aig import AIG
 from repro.aig.function import BooleanFunction
-from repro.errors import ResourceLimitReached, SolverError
+from repro.errors import SolverError
 from repro.qbf.cegar import CegarTwoQbfSolver
-from repro.qbf.expansion import solve_by_expansion
-from repro.qbf.formula import EXISTS, FORALL, QbfFormula, QuantifierBlock
 from repro.sat.cnf import CNF
-
-
-class TestQbfFormula:
-    def test_block_validation(self):
-        with pytest.raises(SolverError):
-            QuantifierBlock("x", (1,))
-        with pytest.raises(SolverError):
-            QuantifierBlock(EXISTS, (0,))
-
-    def test_double_quantification_rejected(self):
-        formula = QbfFormula(
-            prefix=[QuantifierBlock(EXISTS, (1,)), QuantifierBlock(FORALL, (1,))],
-            matrix=CNF(clauses=[[1]]),
-        )
-        with pytest.raises(SolverError):
-            formula.validate()
-
-    def test_close_adds_free_variables(self):
-        formula = QbfFormula(
-            prefix=[QuantifierBlock(FORALL, (1,))], matrix=CNF(clauses=[[1, 2]])
-        )
-        formula.close()
-        assert formula.prefix[-1].quantifier == EXISTS
-        assert 2 in formula.prefix[-1].variables
-
-    def test_exists_forall_constructor(self):
-        matrix = CNF(clauses=[[1, -2], [2, 3]])
-        formula = QbfFormula.exists_forall([1], [2], matrix)
-        assert formula.prefix[0].quantifier == EXISTS
-        assert formula.prefix[1].quantifier == FORALL
-        assert 3 in formula.bound_variables()
-
-    def test_qdimacs_roundtrip(self):
-        matrix = CNF(clauses=[[1, -2], [2, 3], [-1, -3]])
-        formula = QbfFormula(
-            prefix=[QuantifierBlock(EXISTS, (1,)), QuantifierBlock(FORALL, (2, 3))],
-            matrix=matrix,
-        )
-        parsed = QbfFormula.from_qdimacs(formula.to_qdimacs())
-        assert parsed.prefix == formula.prefix
-        assert parsed.matrix.clauses == matrix.clauses
-
-    def test_qdimacs_parse_errors(self):
-        with pytest.raises(Exception):
-            QbfFormula.from_qdimacs("p cnf x 1\n1 0\n")
-        with pytest.raises(Exception):
-            QbfFormula.from_qdimacs("p cnf 2 1\ne 1\n1 0\n")
-
-    def test_num_alternations(self):
-        formula = QbfFormula(
-            prefix=[QuantifierBlock(EXISTS, (1,)), QuantifierBlock(FORALL, (2,))],
-            matrix=CNF(clauses=[[1, 2]]),
-        )
-        assert formula.num_alternations == 1
-
-
-class TestExpansionSolver:
-    def test_pure_sat(self):
-        formula = QbfFormula(prefix=[], matrix=CNF(clauses=[[1, 2], [-1]]))
-        truth, _ = solve_by_expansion(formula)
-        assert truth is True
-
-    def test_pure_unsat(self):
-        formula = QbfFormula(prefix=[], matrix=CNF(clauses=[[1], [-1]]))
-        truth, _ = solve_by_expansion(formula)
-        assert truth is False
-
-    def test_exists_forall_true(self):
-        # exists x forall y . (x OR y) AND (x OR -y)  — pick x = 1.
-        matrix = CNF(clauses=[[1, 2], [1, -2]])
-        formula = QbfFormula.exists_forall([1], [2], matrix)
-        truth, model = solve_by_expansion(formula)
-        assert truth is True
-        assert model[1] is True
-
-    def test_exists_forall_false(self):
-        # exists x forall y . (x XOR y) is false.
-        matrix = CNF(clauses=[[1, 2], [-1, -2]])
-        formula = QbfFormula.exists_forall([1], [2], matrix)
-        truth, _ = solve_by_expansion(formula)
-        assert truth is False
-
-    def test_forall_exists_true(self):
-        # forall y exists x . (x XOR y) is true.
-        formula = QbfFormula(
-            prefix=[QuantifierBlock(FORALL, (2,)), QuantifierBlock(EXISTS, (1,))],
-            matrix=CNF(clauses=[[1, 2], [-1, -2]]),
-        )
-        truth, _ = solve_by_expansion(formula)
-        assert truth is True
-
-    def test_forall_block_false(self):
-        formula = QbfFormula(
-            prefix=[QuantifierBlock(FORALL, (1,))], matrix=CNF(clauses=[[1]])
-        )
-        truth, _ = solve_by_expansion(formula)
-        assert truth is False
-
-    def test_three_level_formula(self):
-        # exists x forall y exists z . (x) AND (y XOR z): true with x=1 since z
-        # can always match y.
-        matrix = CNF(clauses=[[1], [2, 3], [-2, -3]])
-        formula = QbfFormula(
-            prefix=[
-                QuantifierBlock(EXISTS, (1,)),
-                QuantifierBlock(FORALL, (2,)),
-                QuantifierBlock(EXISTS, (3,)),
-            ],
-            matrix=matrix,
-        )
-        truth, model = solve_by_expansion(formula)
-        assert truth is True
-        assert model[1] is True
-
-    def test_universal_limit(self):
-        matrix = CNF(clauses=[[i] for i in range(1, 20)])
-        formula = QbfFormula(
-            prefix=[QuantifierBlock(FORALL, tuple(range(1, 20)))], matrix=matrix
-        )
-        with pytest.raises(ResourceLimitReached):
-            solve_by_expansion(formula, max_universal_vars=4)
 
 
 def _matrix_function(builder, exist_names, universal_names):
@@ -173,14 +50,6 @@ class TestCegarTwoQbf:
         result = CegarTwoQbfSolver(matrix, ["e1", "e2"], ["u"]).solve()
         assert result.status is True
         assert result.model == {"e1": True, "e2": True}
-
-    def test_exist_clause_constraints(self):
-        # Without constraints any e works (matrix ignores u); force e false.
-        matrix = _matrix_function(lambda aig, lits: lits["e"] ^ 1, ["e"], ["u"])
-        solver = CegarTwoQbfSolver(matrix, ["e"], ["u"])
-        solver.add_exist_clause([("e", True)])
-        result = solver.solve()
-        assert result.status is False
 
     def test_add_exist_cnf(self):
         matrix = _matrix_function(

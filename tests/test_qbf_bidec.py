@@ -19,7 +19,6 @@ from repro.core.qbf_bidec import (
     QbfPartitionSolver,
     metric_value,
     qbf_decompose,
-    qbf_decompose_all_targets,
 )
 from repro.core.spec import ENGINE_STEP_QB, ENGINE_STEP_QD, ENGINE_STEP_QDB
 from repro.errors import DecompositionError
@@ -128,14 +127,6 @@ class TestEngineResults:
         assert metric_value(result.partition, "disjointness") <= metric_value(
             bootstrap, "disjointness"
         )
-
-    def test_all_targets_helper(self):
-        aig, *_ = decomposable_by_construction("or", 2, 2, 1, seed=12)
-        f = BooleanFunction.from_output(aig, "f")
-        checker = RelaxationChecker(f, "or")
-        results = qbf_decompose_all_targets(checker, deadline=Deadline(60.0))
-        assert set(results) == {ENGINE_STEP_QD, ENGINE_STEP_QB, ENGINE_STEP_QDB}
-        assert all(r.decomposed for r in results.values())
 
     def test_invalid_strategy_rejected(self):
         f = BooleanFunction.from_truth_table(0b1000, 2)

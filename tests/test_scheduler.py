@@ -3,8 +3,8 @@
 The scheduler's contract is *identity*: for any (jobs, dedup) combination it
 must produce the same :meth:`CircuitReport.fingerprint` as the sequential,
 no-dedup driver.  These tests assert that over an engine x circuit matrix,
-check the dedup accounting on circuits with duplicated cones, and pin the
-seed-derivation regression (``--jobs 1`` == ``--jobs 4``).
+check the dedup accounting on circuits with duplicated cones, and pin
+``--jobs 1`` == ``--jobs 4``.
 """
 
 import pytest
@@ -33,7 +33,6 @@ from repro.core.spec import (
 )
 from repro.core.verify import verify_decomposition
 from repro.errors import DecompositionError
-from repro.utils.rng import derive_seed
 
 
 def run(aig, operator, engines, **kwargs):
@@ -252,7 +251,7 @@ class TestBatchedEqualsSequential:
         assert parallel.schedule["requested_jobs"] == 3
 
     def test_jobs_1_equals_jobs_4(self):
-        """Regression: per-job seeds derive from job identity, not order."""
+        """Regression: results depend on job identity, not order."""
         aig = duplicated_cone_circuit(copies=4, seed=21)
         one = run(
             aig, "or", [ENGINE_STEP_MG, ENGINE_STEP_QD],
@@ -334,20 +333,9 @@ class TestSchedulerPlanning:
         jobs = BatchScheduler(BiDecomposer()).plan(aig, max_outputs=2)
         assert len(jobs) == 2
 
-    def test_seeds_depend_on_identity_not_order(self):
-        aig = ripple_carry_adder(2)
-        jobs = BatchScheduler(BiDecomposer(), seed=5).plan(aig)
-        expected = [
-            derive_seed(5, aig.name, job.output_name) for job in jobs
-        ]
-        assert [job.seed for job in jobs] == expected
-        assert len({job.seed for job in jobs}) == len(jobs)
-
     def test_invalid_jobs_rejected(self):
         with pytest.raises(DecompositionError):
             BatchScheduler(BiDecomposer(), jobs=0)
-        with pytest.raises(DecompositionError):
-            EngineOptions(jobs=0)
 
     def test_circuit_timeout_stops_scheduling(self):
         aig = ripple_carry_adder(3)
@@ -494,9 +482,9 @@ class TestDeadlineSemantics:
         aig = duplicated_cone_circuit(copies=2)
         options = EngineOptions(extract=False)
         _worker_init([(aig, "or", [ENGINE_STEP_MG], options, "dup")])
-        slot, index, record = _worker_run((0, 0, "f", 7, Deadline(0.0)))
+        slot, index, record = _worker_run((0, 0, "f", Deadline(0.0)))
         assert (slot, index) == (0, 0) and record is None
-        slot, index, record = _worker_run((0, 0, "f", 7, Deadline(60.0)))
+        slot, index, record = _worker_run((0, 0, "f", Deadline(60.0)))
         assert record is not None and record.results[ENGINE_STEP_MG].decomposed
 
     def test_workers_dispatch_by_circuit_slot(self):
@@ -512,7 +500,7 @@ class TestDeadlineSemantics:
                 (rca, "or", [ENGINE_STEP_MG], options, "rca2"),
             ]
         )
-        slot, index, record = _worker_run((1, 0, "s0", 7, None))
+        slot, index, record = _worker_run((1, 0, "s0", None))
         assert (slot, index) == (1, 0)
         assert record is not None and record.circuit == "rca2"
         assert record.output_name == "s0"

@@ -116,6 +116,14 @@ class TestWireCodecs:
         assert back.max_outputs == request.max_outputs
         assert Session().run(back).fingerprint() == Session().run(request).fingerprint()
 
+    def test_submit_from_a_client_that_still_sends_a_seed_decodes(self):
+        wire = json.loads(json.dumps(encode_request(request_for(mux_tree(2)))))
+        old_client_wire = dict(wire, seed=7)
+        assert (
+            Session().run(decode_request(old_client_wire)).fingerprint()
+            == Session().run(decode_request(wire)).fingerprint()
+        )
+
     def test_report_roundtrip_is_fingerprint_identical(self):
         # decomposable_by_construction guarantees extracted fa/fb travel.
         aig, *_ = decomposable_by_construction("or", 3, 3, 1, seed=13)
@@ -293,10 +301,24 @@ class TestProtocolErrors:
             frame = client._read_frame()
             assert frame["type"] == "error" and "unknown frame type" in frame["error"]
 
-    def test_invalid_request_relays_validation_error(self, daemon):
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("engines", ["NO-SUCH-ENGINE"], "unknown engine"),
+            ("max_support", "4", "max_support must be an integer"),
+            ("name", [1], "name must be a string"),
+            ("max_outputs", 1.5, "max_outputs must be an integer"),
+            ("dedup", "false", "dedup must be true or false"),
+            ("verify", "no", "verify must be true or false"),
+        ],
+        ids=["engines", "max_support", "name", "max_outputs", "dedup", "verify"],
+    )
+    def test_invalid_request_relays_validation_error(
+        self, daemon, field, value, message
+    ):
         with ServiceClient(daemon.socket_path) as client:
             wire = encode_request(request_for(mux_tree(2)))
-            wire["engines"] = ["NO-SUCH-ENGINE"]
+            wire[field] = value
             client._sock.sendall(
                 json.dumps(
                     {"v": PROTOCOL_VERSION, "type": "submit", "tag": 7, "request": wire}
@@ -305,8 +327,10 @@ class TestProtocolErrors:
             )
             frame = client._read_frame()
             assert frame["type"] == "error"
-            assert "unknown engine" in frame["error"]
+            assert message in frame["error"]
+            assert "\n" not in frame["error"]
             assert frame["tag"] == 7
+            assert client.ping()
 
     def test_wrong_typed_submit_fields_get_error_reply_not_disconnect(
         self, daemon

@@ -12,7 +12,6 @@ from repro.sat.solver import (
     SolveResult,
     _Clause,
     _luby,
-    solve_cnf,
 )
 from repro.utils.timer import Deadline
 
@@ -82,8 +81,9 @@ class TestBasicSolving:
         assert solver.solve().status is False
 
     def test_solve_cnf_helper(self):
-        cnf = CNF(clauses=[[1, 2], [-1]])
-        result = solve_cnf(cnf)
+        solver = Solver()
+        solver.add_cnf(CNF(clauses=[[1, 2], [-1]]))
+        result = solver.solve()
         assert result.status is True
         assert result.model[2] is True
 

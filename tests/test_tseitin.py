@@ -2,20 +2,9 @@
 
 from itertools import product
 
-import pytest
-
 from repro.sat.cnf import CNF
 from repro.sat.solver import Solver
-from repro.sat.tseitin import (
-    encode_and,
-    encode_equiv,
-    encode_iff,
-    encode_implies,
-    encode_ite,
-    encode_or,
-    encode_relaxed_equiv,
-    encode_xor,
-)
+from repro.sat.tseitin import encode_relaxed_equiv, encode_xor
 
 
 def _consistent_assignments(cnf, variables):
@@ -31,45 +20,6 @@ def _consistent_assignments(cnf, variables):
     return result
 
 
-class TestAndOr:
-    @pytest.mark.parametrize("arity", [1, 2, 3])
-    def test_and_matches_semantics(self, arity):
-        cnf = CNF()
-        inputs = cnf.new_vars(arity)
-        out = cnf.new_var()
-        encode_and(cnf, out, inputs)
-        for assignment in _consistent_assignments(cnf, inputs + [out]):
-            assert assignment[out] == all(assignment[i] for i in inputs)
-
-    @pytest.mark.parametrize("arity", [1, 2, 3])
-    def test_or_matches_semantics(self, arity):
-        cnf = CNF()
-        inputs = cnf.new_vars(arity)
-        out = cnf.new_var()
-        encode_or(cnf, out, inputs)
-        for assignment in _consistent_assignments(cnf, inputs + [out]):
-            assert assignment[out] == any(assignment[i] for i in inputs)
-
-    def test_empty_and_is_true(self):
-        cnf = CNF()
-        out = cnf.new_var()
-        encode_and(cnf, out, [])
-        assert cnf.clauses == [(out,)]
-
-    def test_empty_or_is_false(self):
-        cnf = CNF()
-        out = cnf.new_var()
-        encode_or(cnf, out, [])
-        assert cnf.clauses == [(-out,)]
-
-    def test_negative_literal_inputs(self):
-        cnf = CNF()
-        a, b, out = cnf.new_vars(3)
-        encode_and(cnf, out, [a, -b])
-        for assignment in _consistent_assignments(cnf, [a, b, out]):
-            assert assignment[out] == (assignment[a] and not assignment[b])
-
-
 class TestXorEquiv:
     def test_xor(self):
         cnf = CNF()
@@ -77,37 +27,6 @@ class TestXorEquiv:
         encode_xor(cnf, out, a, b)
         for assignment in _consistent_assignments(cnf, [a, b, out]):
             assert assignment[out] == (assignment[a] != assignment[b])
-
-    def test_iff(self):
-        cnf = CNF()
-        a, b, out = cnf.new_vars(3)
-        encode_iff(cnf, out, a, b)
-        for assignment in _consistent_assignments(cnf, [a, b, out]):
-            assert assignment[out] == (assignment[a] == assignment[b])
-
-    def test_equiv(self):
-        cnf = CNF()
-        a, b = cnf.new_vars(2)
-        encode_equiv(cnf, a, b)
-        for assignment in _consistent_assignments(cnf, [a, b]):
-            assert assignment[a] == assignment[b]
-
-    def test_implies(self):
-        cnf = CNF()
-        a, b = cnf.new_vars(2)
-        encode_implies(cnf, a, b)
-        for assignment in _consistent_assignments(cnf, [a, b]):
-            assert (not assignment[a]) or assignment[b]
-
-
-class TestIte:
-    def test_ite_semantics(self):
-        cnf = CNF()
-        out, sel, t, e = cnf.new_vars(4)
-        encode_ite(cnf, out, sel, t, e)
-        for assignment in _consistent_assignments(cnf, [out, sel, t, e]):
-            expected = assignment[t] if assignment[sel] else assignment[e]
-            assert assignment[out] == expected
 
 
 class TestRelaxedEquiv:

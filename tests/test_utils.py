@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from repro.utils.rng import derive_seed, deterministic_rng, job_rng, seeded_job
+from repro.utils.rng import deterministic_rng
 from repro.utils.timer import Deadline, Stopwatch
 
 
@@ -109,33 +109,3 @@ class TestDeterministicRng:
         a = deterministic_rng("circuit-x")
         b = deterministic_rng("circuit-y")
         assert [a.random() for _ in range(3)] != [b.random() for _ in range(3)]
-
-
-class TestDerivedSeeds:
-    def test_derivation_is_stable(self):
-        assert derive_seed(0, "adder", "s0") == derive_seed(0, "adder", "s0")
-
-    def test_tokens_and_base_matter(self):
-        base = derive_seed(0, "adder", "s0")
-        assert derive_seed(1, "adder", "s0") != base
-        assert derive_seed(0, "adder", "s1") != base
-        assert derive_seed(0, "mult", "s0") != base
-
-    def test_token_order_matters(self):
-        assert derive_seed(0, "a", "b") != derive_seed(0, "b", "a")
-
-    def test_seeded_job_scopes_the_rng(self):
-        outside = job_rng().random()
-        with seeded_job(derive_seed(0, "c", "o")) as rng:
-            inside_first = job_rng().random()
-            assert job_rng() is rng
-        with seeded_job(derive_seed(0, "c", "o")):
-            assert job_rng().random() == inside_first
-        # Outside any job the default stream is restored.
-        assert job_rng().random() == outside
-
-    def test_seeded_job_nesting_restores_parent(self):
-        with seeded_job(1) as outer:
-            with seeded_job(2) as inner:
-                assert job_rng() is inner
-            assert job_rng() is outer
