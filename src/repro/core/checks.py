@@ -24,8 +24,9 @@ the QBF refinement loop) as well as the source of:
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 from repro.aig.function import BooleanFunction
 from repro.core.partition import VariablePartition
@@ -42,19 +43,24 @@ class CheckOutcome:
     """Result of one decomposability check.
 
     ``decomposable`` is ``True`` (the check formula is UNSAT), ``False``
-    (a falsifying witness exists) or ``None`` (budget exhausted).
+    (a falsifying witness exists) or ``None`` (budget exhausted).  The
+    witness differences are positions in ``RelaxationChecker.variables``,
+    listed in name order.
     """
 
     decomposable: Optional[bool]
     needed_alpha: Set[str] = field(default_factory=set)
     needed_beta: Set[str] = field(default_factory=set)
-    witness_diff_a: Set[str] = field(default_factory=set)
-    witness_diff_b: Set[str] = field(default_factory=set)
-    witness: Dict[str, bool] = field(default_factory=dict)
+    witness_diff_a: Tuple[int, ...] = ()
+    witness_diff_b: Tuple[int, ...] = ()
 
 
 class RelaxationChecker:
-    """Incremental decomposability checker for one function and operator."""
+    """Incremental decomposability checker for one function and operator.
+
+    The assumption pairs, copy variables and core-literal names are index
+    tables over :attr:`variables`, built once; :meth:`fresh` reuses them.
+    """
 
     def __init__(self, function: BooleanFunction, operator: str) -> None:
         self.function = function
@@ -69,19 +75,19 @@ class RelaxationChecker:
         cnf = CNF()
         # Shared (original) copy of the inputs plus one instantiated copy per
         # formula instantiation.
-        self._x0 = {name: cnf.new_var() for name in self.variables}
-        self._x1 = {name: cnf.new_var() for name in self.variables}
-        self._x2 = {name: cnf.new_var() for name in self.variables}
-        self._alpha = {name: cnf.new_var() for name in self.variables}
-        self._beta = {name: cnf.new_var() for name in self.variables}
-        self._x3: Dict[str, int] = {}
+        x0 = [cnf.new_var() for _ in self.variables]
+        x1 = [cnf.new_var() for _ in self.variables]
+        x2 = [cnf.new_var() for _ in self.variables]
+        alpha = [cnf.new_var() for _ in self.variables]
+        beta = [cnf.new_var() for _ in self.variables]
+        x3: List[int] = []
 
-        out0 = self._encode_copy(cnf, self._x0)
-        out1 = self._encode_copy(cnf, self._x1)
-        out2 = self._encode_copy(cnf, self._x2)
-        for name in self.variables:
-            encode_relaxed_equiv(cnf, self._x0[name], self._x1[name], self._alpha[name])
-            encode_relaxed_equiv(cnf, self._x0[name], self._x2[name], self._beta[name])
+        out0 = self._encode_copy(cnf, x0)
+        out1 = self._encode_copy(cnf, x1)
+        out2 = self._encode_copy(cnf, x2)
+        for i in range(len(self.variables)):
+            encode_relaxed_equiv(cnf, x0[i], x1[i], alpha[i])
+            encode_relaxed_equiv(cnf, x0[i], x2[i], beta[i])
 
         if self.operator == OR:
             cnf.add_unit(out0)
@@ -93,15 +99,11 @@ class RelaxationChecker:
             cnf.add_unit(out1)
             cnf.add_unit(out2)
         else:  # XOR: the rectangle condition needs the doubly instantiated copy.
-            self._x3 = {name: cnf.new_var() for name in self.variables}
-            out3 = self._encode_copy(cnf, self._x3)
-            for name in self.variables:
-                encode_relaxed_equiv(
-                    cnf, self._x1[name], self._x3[name], self._beta[name]
-                )
-                encode_relaxed_equiv(
-                    cnf, self._x2[name], self._x3[name], self._alpha[name]
-                )
+            x3 = [cnf.new_var() for _ in self.variables]
+            out3 = self._encode_copy(cnf, x3)
+            for i in range(len(self.variables)):
+                encode_relaxed_equiv(cnf, x1[i], x3[i], beta[i])
+                encode_relaxed_equiv(cnf, x2[i], x3[i], alpha[i])
             parity01 = cnf.new_var()
             parity23 = cnf.new_var()
             parity = cnf.new_var()
@@ -110,17 +112,33 @@ class RelaxationChecker:
             encode_xor(cnf, parity, parity01, parity23)
             cnf.add_unit(parity)
 
+        self._cnf = cnf
+        # _assume[i][a][b]: the assumptions for alpha_i = a, beta_i = b.
+        self._assume = [
+            (((-a, -b), (-a, b)), ((a, -b), (a, b))) for a, b in zip(alpha, beta)
+        ]
+        # (i, x0, x1, x2, x3) in name order (blocking clauses list names
+        # sorted); x3 is 0 outside XOR.
+        self._copies = tuple(
+            (i, x0[i], x1[i], x2[i], x3[i] if x3 else 0)
+            for i in sorted(range(len(self.variables)), key=self.variables.__getitem__)
+        )
+        self._needed_alpha = {-a: name for a, name in zip(alpha, self.variables)}
+        self._needed_beta = {-b: name for b, name in zip(beta, self.variables)}
         self._solver = Solver()
         self._solver.add_cnf(cnf)
 
-    def _encode_copy(self, cnf: CNF, input_vars: Dict[str, int]) -> int:
-        mapping = self.function.to_cnf(
-            cnf,
-            input_vars={
-                node: input_vars[self.function.aig.input_name(node)]
-                for node in self.function.inputs
-            },
-        )
+    def fresh(self) -> "RelaxationChecker":
+        """This encoding on a new solver: it answers as a newly built checker
+        would, where a shared solver's learned clauses could change ties."""
+        twin = copy.copy(self)
+        twin.sat_calls = 0
+        twin._solver = Solver()
+        twin._solver.add_cnf(self._cnf)
+        return twin
+
+    def _encode_copy(self, cnf: CNF, input_vars: Sequence[int]) -> int:
+        mapping = self.function.to_cnf(cnf, dict(zip(self.function.inputs, input_vars)))
         return mapping.output_literal
 
     # -- checks -------------------------------------------------------------------
@@ -133,33 +151,32 @@ class RelaxationChecker:
     ) -> CheckOutcome:
         """Check decomposability under an explicit partition."""
         partition.validate_against(self.variables)
-        alpha = {name: name in set(partition.xa) for name in self.variables}
-        beta = {name: name in set(partition.xb) for name in self.variables}
+        xa = set(partition.xa)
+        xb = set(partition.xb)
         return self.check_alpha_beta(
-            alpha, beta, deadline=deadline, conflict_budget=conflict_budget
+            [name in xa for name in self.variables],
+            [name in xb for name in self.variables],
+            deadline=deadline,
+            conflict_budget=conflict_budget,
         )
 
     def check_alpha_beta(
         self,
-        alpha: Mapping[str, bool],
-        beta: Mapping[str, bool],
+        alpha: Sequence[int],
+        beta: Sequence[int],
         deadline: Optional[Deadline] = None,
         conflict_budget: Optional[int] = None,
     ) -> CheckOutcome:
         """Check decomposability under a relaxation assignment.
 
-        ``alpha[name] = True`` relaxes the first instantiated copy for that
-        variable (the variable may differ there, i.e. it belongs to ``XA``),
-        ``beta[name] = True`` relaxes the second copy (``XB``); both false
-        means the variable is shared (``XC``).
+        ``alpha[i]`` / ``beta[i]`` (0/1 or bool, e.g. a ``bytes`` slice) is
+        the control of ``variables[i]``: alpha relaxes the first instantiated
+        copy (``XA``), beta the second (``XB``); neither means shared (``XC``).
         """
         self.sat_calls += 1
         assumptions: List[int] = []
-        for name in self.variables:
-            a_var = self._alpha[name]
-            b_var = self._beta[name]
-            assumptions.append(a_var if alpha.get(name, False) else -a_var)
-            assumptions.append(b_var if beta.get(name, False) else -b_var)
+        for pairs, a, b in zip(self._assume, alpha, beta, strict=True):
+            assumptions += pairs[a][b]
         result = self._solver.solve(
             assumptions=assumptions,
             deadline=deadline,
@@ -168,37 +185,26 @@ class RelaxationChecker:
         if result.status is None:
             return CheckOutcome(decomposable=None)
         if result.status is False:
-            core = set(result.core)
-            needed_alpha = {
-                name for name in self.variables if -self._alpha[name] in core
-            }
-            needed_beta = {
-                name for name in self.variables if -self._beta[name] in core
-            }
+            alpha_names = self._needed_alpha
+            beta_names = self._needed_beta
             return CheckOutcome(
-                decomposable=True, needed_alpha=needed_alpha, needed_beta=needed_beta
+                decomposable=True,
+                needed_alpha={alpha_names[l] for l in result.core if l in alpha_names},
+                needed_beta={beta_names[l] for l in result.core if l in beta_names},
             )
         values = result.values
-        diff_a: Set[str] = set()
-        diff_b: Set[str] = set()
-        for name in self.variables:
-            base = values[self._x0[name]]
-            if values[self._x1[name]] != base:
-                diff_a.add(name)
-            if values[self._x2[name]] != base:
-                diff_b.add(name)
-            if self._x3:
-                third = values[self._x3[name]]
-                if third != values[self._x2[name]]:
-                    diff_a.add(name)
-                if third != values[self._x1[name]]:
-                    diff_b.add(name)
-        witness = {name: values[self._x0[name]] == 1 for name in self.variables}
+        diff_a: List[int] = []
+        diff_b: List[int] = []
+        for i, v0, v1, v2, v3 in self._copies:
+            base, first, second = values[v0], values[v1], values[v2]
+            if first != base or v3 and values[v3] != second:
+                diff_a.append(i)
+            if second != base or v3 and values[v3] != first:
+                diff_b.append(i)
         return CheckOutcome(
             decomposable=False,
-            witness_diff_a=diff_a,
-            witness_diff_b=diff_b,
-            witness=witness,
+            witness_diff_a=tuple(diff_a),
+            witness_diff_b=tuple(diff_b),
         )
 
 

@@ -21,7 +21,7 @@ Engine          Partition search
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.aig.aig import AIG
 from repro.aig.function import BooleanFunction
@@ -139,12 +139,14 @@ class BiDecomposer:
         bootstrap: Optional[VariablePartition] = None,
         deadline: Optional[Deadline] = None,
         extract: Optional[bool] = None,
+        _new_checker: Optional[Callable[[], RelaxationChecker]] = None,
     ) -> BiDecResult:
         """Decompose one function with one engine.
 
         ``extract`` overrides ``options.extract`` for this call; the driver
         uses it to skip sub-function extraction on bootstrap-only passes
-        whose ``fA``/``fB`` nobody will read.
+        whose ``fA``/``fB`` nobody will read, and ``_new_checker`` to share
+        one check encoding between the engines of one function.
         """
         operator = check_operator(operator)
         engine = check_engine(engine)
@@ -167,7 +169,9 @@ class BiDecomposer:
         elif engine not in ENGINES:
             result = self._plugin_decompose(function, operator, engine, deadline)
         else:
-            checker = RelaxationChecker(function, operator)
+            checker = (
+                _new_checker() if _new_checker else RelaxationChecker(function, operator)
+            )
             if engine == ENGINE_LJH:
                 result = ljh_decompose(checker, deadline=deadline)
             elif engine == ENGINE_STEP_MG:
@@ -218,6 +222,18 @@ class BiDecomposer:
         needs_bootstrap = any(engine in QBF_ENGINES for engine in ordered)
         if needs_bootstrap and ENGINE_STEP_MG not in ordered:
             ordered.insert(0, ENGINE_STEP_MG)
+        # One check encoding per call (not cached on ``function``): the first
+        # engine needing it builds it, later ones get it on a fresh solver.
+        # Only the latest checker is kept, so a finished engine's solver dies.
+        latest: List[RelaxationChecker] = []
+
+        def new_checker() -> RelaxationChecker:
+            if latest:
+                latest[0] = latest[0].fresh()
+            else:
+                latest.append(RelaxationChecker(function, operator))
+            return latest[0]
+
         for engine in ordered:
             engine_deadline = None
             if deadline is not None:
@@ -232,6 +248,7 @@ class BiDecomposer:
                 # engines) only contributes its partition; extracting
                 # fA/fB for it would be thrown away immediately.
                 extract=None if engine in engines else False,
+                _new_checker=new_checker,
             )
             if engine == ENGINE_STEP_MG and result.decomposed:
                 bootstrap = result.partition

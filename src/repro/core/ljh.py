@@ -111,8 +111,8 @@ def _check(
     stats: SearchStatistics,
 ) -> CheckOutcome:
     stats.sat_calls += 1
-    alpha = {name: name in xa for name in variables}
-    beta = {name: name in xb for name in variables}
+    alpha = [name in xa for name in variables]
+    beta = [name in xb for name in variables]
     return checker.check_alpha_beta(alpha, beta, deadline=deadline)
 
 

@@ -107,9 +107,8 @@ def _check(
     stats: SearchStatistics,
 ):
     stats.sat_calls += 1
-    alpha = {name: name in relaxed for name in variables}
-    beta = {name: name in relaxed for name in variables}
-    return checker.check_alpha_beta(alpha, beta, deadline=deadline)
+    alpha = [name in relaxed for name in variables]
+    return checker.check_alpha_beta(alpha, alpha, deadline=deadline)
 
 
 def _assign_free(variables: Sequence[str], free: Set[str]) -> VariablePartition:
@@ -144,8 +143,8 @@ def _greedy_fallback(
     def attempt(candidate_a: Set[str], candidate_b: Set[str]) -> bool:
         stats.sat_calls += 1
         outcome = checker.check_alpha_beta(
-            {v: v in candidate_a for v in variables},
-            {v: v in candidate_b for v in variables},
+            [v in candidate_a for v in variables],
+            [v in candidate_b for v in variables],
             deadline=deadline,
         )
         if outcome.decomposable is None:

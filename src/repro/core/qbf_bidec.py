@@ -28,7 +28,7 @@ Two QBF back-ends are available:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.checks import RelaxationChecker
 from repro.core.partition import VariablePartition
@@ -36,6 +36,7 @@ from repro.core.qbf_models import (
     ControlVariables,
     add_nontrivial_constraint,
     add_target_constraint,
+    add_target_prefix,
     build_matrix_function,
     maximum_bound,
 )
@@ -93,7 +94,13 @@ class BoundQueryResult:
 
 
 class QbfPartitionSolver:
-    """Answers bound queries with the specialised CEGAR loop of formula (9)."""
+    """Answers bound queries with the specialised CEGAR loop of formula (9).
+
+    The candidate CNF of every query shares one template, built once: the
+    controls (on a fresh CNF alpha is ``1..n`` and beta ``n+1..2n``), ``fN``
+    and the bound-independent part of ``fT``.  A query copies it and appends
+    the bound step and the blocking clauses.
+    """
 
     def __init__(self, checker: RelaxationChecker, target: str) -> None:
         if target not in TARGETS:
@@ -101,11 +108,22 @@ class QbfPartitionSolver:
         self.checker = checker
         self.target = target
         self.variables = list(checker.variables)
-        # Blocking clauses over (name, side) pairs; each clause says "at least
-        # one of these controls must be turned off".  They are consequences of
-        # the matrix alone, hence valid for every bound.
-        self._blocking: List[List[Tuple[str, str]]] = []
+        self._template = CNF()
+        controls = ControlVariables.allocate(self._template, self.variables)
+        add_nontrivial_constraint(self._template, controls)
+        self._bound_step = add_target_prefix(self._template, controls, target)
+        # Blocking clauses as literal tuples; each says "at least one of these
+        # controls must be turned off".  They are consequences of the matrix
+        # alone, hence valid for every bound.
+        self._blocking: List[Tuple[int, ...]] = []
         self.stats = SearchStatistics()
+
+    def candidate_cnf(self, bound: int) -> CNF:
+        """The candidate CNF of a query: template, bound step, blocking clauses."""
+        cnf = self._template.copy()
+        self._bound_step(cnf, bound)
+        cnf.clauses.extend(self._blocking)
+        return cnf
 
     # -- one bound query -----------------------------------------------------------
 
@@ -116,15 +134,9 @@ class QbfPartitionSolver:
         max_refinements: Optional[int] = None,
     ) -> BoundQueryResult:
         """Decide whether a non-trivial partition with metric <= bound exists."""
-        cnf = CNF()
-        controls = ControlVariables.allocate(cnf, self.variables)
-        add_nontrivial_constraint(cnf, controls)
-        add_target_constraint(cnf, controls, self.target, bound)
-        cnf.clauses.extend(
-            self._clause_literals(clause, controls) for clause in self._blocking
-        )
         candidate_solver = Solver()
-        candidate_solver.add_cnf(cnf)
+        candidate_solver.add_cnf(self.candidate_cnf(bound))
+        n = len(self.variables)
 
         result = BoundQueryResult(status=None)
         self.stats.qbf_calls += 1
@@ -143,41 +155,32 @@ class QbfPartitionSolver:
             if candidate_answer.status is False:
                 result.status = False
                 return result
-            values = candidate_answer.values
-            alpha = {name: values[controls.alpha[name]] == 1 for name in self.variables}
-            beta = {name: values[controls.beta[name]] == 1 for name in self.variables}
+            alpha = candidate_answer.values[1 : n + 1]
+            beta = candidate_answer.values[n + 1 : 2 * n + 1]
             self.stats.sat_calls += 1
             outcome = self.checker.check_alpha_beta(alpha, beta, deadline=deadline)
             if outcome.decomposable is None:
                 return result
             if outcome.decomposable:
-                partition = VariablePartition.from_alpha_beta(self.variables, alpha, beta)
+                partition = VariablePartition.from_alpha_beta(
+                    self.variables,
+                    dict(zip(self.variables, alpha)),
+                    dict(zip(self.variables, beta)),
+                )
                 result.status = True
                 result.partition = partition.normalized()
                 return result
-            clause = self._blocking_clause(outcome.witness_diff_a, outcome.witness_diff_b)
+            clause = tuple(
+                [-1 - i for i in outcome.witness_diff_a]
+                + [-1 - n - i for i in outcome.witness_diff_b]
+            )
+            if not clause:
+                raise DecompositionError(
+                    "internal error: a falsifying witness with no differing copies"
+                )
             self._blocking.append(clause)
             self.stats.refinements += 1
-            candidate_solver.add_clause(self._clause_literals(clause, controls))
-
-    @staticmethod
-    def _blocking_clause(diff_a: Set[str], diff_b: Set[str]) -> List[Tuple[str, str]]:
-        clause = [(name, "a") for name in sorted(diff_a)]
-        clause += [(name, "b") for name in sorted(diff_b)]
-        if not clause:
-            raise DecompositionError(
-                "internal error: a falsifying witness with no differing copies"
-            )
-        return clause
-
-    @staticmethod
-    def _clause_literals(
-        clause: Sequence[Tuple[str, str]], controls: ControlVariables
-    ) -> Tuple[int, ...]:
-        return tuple(
-            -(controls.alpha[name] if side == "a" else controls.beta[name])
-            for name, side in clause
-        )
+            candidate_solver.add_clause(clause)
 
 
 class GenericQbfPartitionSolver:

@@ -25,7 +25,7 @@ The constraint builders implement:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro.aig.aig import AIG
 from repro.aig.function import BooleanFunction
@@ -90,32 +90,48 @@ def _shared_indicators(cnf: CNF, controls: ControlVariables) -> List[int]:
 
 def add_disjointness_target(cnf: CNF, controls: ControlVariables, bound: int) -> None:
     """Formula (5): at most ``bound`` shared variables (``|XC| <= k``)."""
-    if bound < 0:
-        raise DecompositionError("the disjointness bound must be non-negative")
-    indicators = _shared_indicators(cnf, controls)
-    at_most_k(cnf, indicators, bound)
+    add_target_constraint(cnf, controls, "disjointness", bound)
 
 
 def add_balancedness_target(cnf: CNF, controls: ControlVariables, bound: int) -> None:
     """Formula (6): ``0 <= |XA| - |XB| <= k`` (breaking the XA/XB symmetry)."""
-    if bound < 0:
-        raise DecompositionError("the balancedness bound must be non-negative")
-    out_a = totalizer_outputs(cnf, controls.alpha_literals())
-    out_b = totalizer_outputs(cnf, controls.beta_literals())
-    _add_unary_geq(cnf, out_a, out_b)
-    _add_unary_difference_bound(cnf, out_a, out_b, bound)
+    add_target_constraint(cnf, controls, "balancedness", bound)
 
 
 def add_combined_target(cnf: CNF, controls: ControlVariables, bound: int) -> None:
     """Formula (8): ``|XC| + |XA| - |XB| <= k`` with ``|XA| >= |XB|``."""
-    if bound < 0:
-        raise DecompositionError("the combined bound must be non-negative")
-    indicators = _shared_indicators(cnf, controls)
+    add_target_constraint(cnf, controls, "combined", bound)
+
+
+def add_target_prefix(
+    cnf: CNF, controls: ControlVariables, target: str
+) -> Callable[[CNF, int], None]:
+    """Add the part of ``fT`` no bound changes (indicators, totalizers,
+    ``|XA| >= |XB|``); return the step that bounds the metric by ``k`` in
+    ``cnf`` or any copy of it."""
+    if target not in ("disjointness", "balancedness", "combined"):
+        raise DecompositionError(f"unknown target metric {target!r}")
+
+    def checked(bound: int) -> int:
+        if bound < 0:
+            raise DecompositionError(f"the {target} bound must be non-negative")
+        return bound
+
+    indicators: List[int] = []
+    if target != "balancedness":
+        indicators = _shared_indicators(cnf, controls)
+    if target == "disjointness":
+        return lambda out, bound: at_most_k(out, indicators, checked(bound))
     out_a = totalizer_outputs(cnf, controls.alpha_literals())
     out_b = totalizer_outputs(cnf, controls.beta_literals())
     _add_unary_geq(cnf, out_a, out_b)
-    out_total = totalizer_outputs(cnf, indicators + controls.alpha_literals())
-    _add_unary_difference_bound(cnf, out_total, out_b, bound)
+    # Balancedness bounds |XA| - |XB|; the combined cost (|XC| + |XA|) - |XB|.
+    minuend = out_a
+    if target == "combined":
+        minuend = totalizer_outputs(cnf, indicators + controls.alpha_literals())
+    return lambda out, bound: _add_unary_difference_bound(
+        out, minuend, out_b, checked(bound)
+    )
 
 
 def _add_unary_geq(cnf: CNF, bigger: Sequence[int], smaller: Sequence[int]) -> None:
@@ -146,15 +162,8 @@ def _add_unary_difference_bound(
 def add_target_constraint(
     cnf: CNF, controls: ControlVariables, target: str, bound: int
 ) -> None:
-    """Dispatch on the target metric name."""
-    if target == "disjointness":
-        add_disjointness_target(cnf, controls, bound)
-    elif target == "balancedness":
-        add_balancedness_target(cnf, controls, bound)
-    elif target == "combined":
-        add_combined_target(cnf, controls, bound)
-    else:
-        raise DecompositionError(f"unknown target metric {target!r}")
+    """Add ``fT`` for a target metric name: its prefix, then its bound step."""
+    add_target_prefix(cnf, controls, target)(cnf, bound)
 
 
 def maximum_bound(target: str, num_variables: int) -> int:

@@ -8,7 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.aig.function import BooleanFunction
-from repro.circuits.generators import decomposable_by_construction, parity_tree
+from repro.circuits.generators import (
+    decomposable_by_construction,
+    majority,
+    parity_tree,
+)
 from repro.core.checks import RelaxationChecker, check_decomposable
 from repro.core.partition import VariablePartition
 from repro.errors import DecompositionError
@@ -117,9 +121,52 @@ class TestRelaxationChecker:
             VariablePartition((names[0],), (names[1],), ())
         )
         assert outcome.decomposable is False
-        assert outcome.witness_diff_a <= {names[0]}
-        assert outcome.witness_diff_b <= {names[1]}
+        # Differences are positions in ``checker.variables``.
+        assert set(outcome.witness_diff_a) <= {0}
+        assert set(outcome.witness_diff_b) <= {1}
         assert outcome.witness_diff_a or outcome.witness_diff_b
+
+    def test_witness_differences_listed_in_name_order(self):
+        # Eleven inputs: "x10" sorts before "x2", apart from the input
+        # order.  Blocking clauses built from the differences follow name
+        # order, so the differences must too.
+        aig = majority(11)
+        f = BooleanFunction.from_output(aig, aig.outputs[0][0])
+        checker = RelaxationChecker(f, "or")
+        names = checker.variables
+        outcome = checker.check_partition(
+            VariablePartition((names[0],), tuple(names[1:]), ())
+        )
+        assert outcome.decomposable is False
+        diff = outcome.witness_diff_b
+        assert list(diff) == sorted(diff, key=names.__getitem__)
+        assert list(diff) != sorted(diff)
+
+    def test_check_accepts_bytes_and_bools_alike(self):
+        aig, xa, xb, xc = decomposable_by_construction("or", 2, 2, 1, seed=4)
+        f = BooleanFunction.from_output(aig, "f")
+        checker = RelaxationChecker(f, "or")
+        n = len(checker.variables)
+        for a_pos, b_pos in [(0, 1), (1, 2), (0, n - 1)]:
+            alpha = [i == a_pos for i in range(n)]
+            beta = [i == b_pos for i in range(n)]
+            as_bools = checker.check_alpha_beta(alpha, beta)
+            as_bytes = checker.fresh().check_alpha_beta(bytes(alpha), bytes(beta))
+            assert as_bools == as_bytes
+        # One entry per variable: a short sequence is an error, not "shared".
+        with pytest.raises(ValueError):
+            checker.check_alpha_beta([True] + [False] * (n - 2), [False, True])
+
+    def test_fresh_checker_repeats_a_new_checkers_answers(self):
+        f = BooleanFunction.from_output(parity_tree(4), "p")
+        used = RelaxationChecker(f, "or")
+        names = used.variables
+        partition = VariablePartition((names[0],), (names[1],), tuple(names[2:]))
+        first = used.check_partition(partition)
+        twin = used.fresh()
+        assert twin.sat_calls == 0
+        assert twin.check_partition(partition) == first
+        assert RelaxationChecker(f, "or").check_partition(partition) == first
 
     def test_needed_equalities_on_unsat(self):
         aig, xa, xb, xc = decomposable_by_construction("or", 2, 2, 2, seed=8)

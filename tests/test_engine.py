@@ -4,6 +4,7 @@ import pytest
 
 from repro.aig.function import BooleanFunction
 from repro.circuits.generators import (
+    comparator,
     decomposable_by_construction,
     mux_tree,
     parity_tree,
@@ -11,6 +12,7 @@ from repro.circuits.generators import (
 )
 from repro.api import Budgets, DecompositionRequest, Session
 from repro.circuits.library import classic_circuit
+from repro.core.checks import RelaxationChecker
 from repro.core.engine import BiDecomposer, EngineOptions
 from repro.core.spec import (
     ENGINE_BDD,
@@ -267,3 +269,57 @@ class TestOptions:
             BooleanFunction.from_truth_table(0b0110, 2), "or", engine=ENGINE_STEP_QD
         )
         assert "not decomposable" in miss.summary()
+
+
+class TestSharedCheckEncoding:
+    """``decompose_function_all`` encodes the check formula once per call."""
+
+    ENGINES = [ENGINE_LJH, ENGINE_STEP_MG, ENGINE_STEP_QD, ENGINE_STEP_QB, ENGINE_STEP_QDB]
+
+    @staticmethod
+    def _functions():
+        # Decomposable under every operator (mux) and only under AND
+        # (comparator): the QBF engines refine on both.
+        return [
+            BooleanFunction.from_output(mux_tree(2), "y"),
+            BooleanFunction.from_output(comparator(3), "lt"),
+        ]
+
+    @staticmethod
+    def _summary(result):
+        return (
+            result.decomposed,
+            result.partition,
+            result.optimum_proven,
+            result.timed_out,
+            result.stats,
+        )
+
+    @pytest.mark.parametrize("operator", ["or", "and", "xor"])
+    def test_same_results_as_separate_checkers(self, operator, monkeypatch):
+        step = BiDecomposer(EngineOptions(extract=False))
+        for function in self._functions():
+            builds = []
+            real_init = RelaxationChecker.__init__
+
+            def counting_init(self, *args, **kwargs):
+                builds.append(args)
+                real_init(self, *args, **kwargs)
+
+            monkeypatch.setattr(RelaxationChecker, "__init__", counting_init)
+            shared = step.decompose_function_all(function, operator, self.ENGINES)
+            assert len(builds) == 1
+            monkeypatch.undo()
+
+            separate = {}
+            bootstrap = None
+            # The driver's order: STEP-MG first, its partition the bootstrap.
+            for engine in [ENGINE_STEP_MG] + [e for e in self.ENGINES if e != ENGINE_STEP_MG]:
+                separate[engine] = step.decompose_function(
+                    function, operator, engine, bootstrap=bootstrap
+                )
+                if engine == ENGINE_STEP_MG and separate[engine].decomposed:
+                    bootstrap = separate[engine].partition
+            for engine in self.ENGINES:
+                assert self._summary(shared[engine]) == self._summary(separate[engine])
+            assert shared[ENGINE_STEP_QD].stats.refinements > 0

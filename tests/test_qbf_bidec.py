@@ -20,8 +20,15 @@ from repro.core.qbf_bidec import (
     metric_value,
     qbf_decompose,
 )
+from repro.core.qbf_models import (
+    ControlVariables,
+    add_nontrivial_constraint,
+    add_target_constraint,
+    maximum_bound,
+)
 from repro.core.spec import ENGINE_STEP_QB, ENGINE_STEP_QD, ENGINE_STEP_QDB
 from repro.errors import DecompositionError
+from repro.sat.cnf import CNF
 from repro.utils.timer import Deadline
 
 from tests.reference import best_metric
@@ -78,12 +85,37 @@ class TestBoundQueries:
         checker = RelaxationChecker(f, "or")
         solver = QbfPartitionSolver(checker, "disjointness")
         first = solver.query(2, deadline=Deadline(30.0))
-        refinements_after_first = solver.stats.refinements
-        solver.query(2, deadline=Deadline(30.0))
-        # The second identical query reuses the learned blocking clauses, so
-        # it cannot need more refinements than the first one did.
-        assert solver.stats.refinements <= 2 * max(refinements_after_first, 1)
-        assert first.status in (True, False)
+        assert (first.status, first.iterations, solver.stats.refinements) == (
+            False,
+            13,
+            12,
+        )
+        # The second identical query starts from the twelve stored blocking
+        # clauses: its candidate CNF is UNSAT at once, with no new refinement.
+        second = solver.query(2, deadline=Deadline(30.0))
+        assert (second.status, second.iterations, solver.stats.refinements) == (
+            False,
+            1,
+            12,
+        )
+
+    @pytest.mark.parametrize("target", qbf_bidec.TARGETS)
+    def test_candidate_cnf_equals_a_fresh_build(self, target):
+        f = BooleanFunction.from_output(parity_tree(5), "p")
+        solver = QbfPartitionSolver(RelaxationChecker(f, "or"), target)
+        solver.query(1, deadline=Deadline(30.0))
+        assert solver.stats.refinements > 0
+        names = solver.variables
+        for bound in range(maximum_bound(target, len(names)) + 1):
+            expected = CNF()
+            controls = ControlVariables.allocate(expected, names)
+            add_nontrivial_constraint(expected, controls)
+            add_target_constraint(expected, controls, target, bound)
+            for clause in solver._blocking:
+                expected.add_clause(clause)
+            built = solver.candidate_cnf(bound)
+            assert built.clauses == expected.clauses
+            assert built.num_vars == expected.num_vars
 
     def test_unknown_target_rejected(self):
         f = BooleanFunction.from_truth_table(0b1000, 2)
