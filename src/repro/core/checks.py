@@ -207,18 +207,3 @@ class RelaxationChecker:
             witness_diff_b=tuple(diff_b),
         )
 
-
-def check_decomposable(
-    function: BooleanFunction,
-    operator: str,
-    partition: VariablePartition,
-    deadline: Optional[Deadline] = None,
-) -> bool:
-    """One-shot decomposability check (builds a fresh checker)."""
-    if partition.is_trivial:
-        raise DecompositionError("the check requires a non-trivial partition")
-    checker = RelaxationChecker(function, operator)
-    outcome = checker.check_partition(partition, deadline=deadline)
-    if outcome.decomposable is None:
-        raise DecompositionError("decomposability check exhausted its budget")
-    return outcome.decomposable

@@ -5,7 +5,7 @@ MiniSAT-class solvers and from MUSer:
 
 * :mod:`repro.sat.cnf` — CNF formula container.
 * :mod:`repro.sat.tseitin` — clausal XOR and relaxation encodings.
-* :mod:`repro.sat.cardinality` — AtMost-k / AtLeast-k constraint encodings
+* :mod:`repro.sat.cardinality` — AtLeast-1 / AtMost-k constraint encodings
   used for the paper's ``fN`` and ``fT`` constraints.
 * :mod:`repro.sat.solver` — a CDCL SAT solver (watched literals, VSIDS,
   clause learning, restarts, incremental solving under assumptions) with
@@ -23,7 +23,6 @@ from repro.sat.cardinality import (
     at_least_one,
     at_most_one,
     at_most_k,
-    at_least_k,
 )
 from repro.sat.mus import MusExtractor, GroupMusExtractor
 
@@ -35,7 +34,6 @@ __all__ = [
     "at_least_one",
     "at_most_one",
     "at_most_k",
-    "at_least_k",
     "MusExtractor",
     "GroupMusExtractor",
 ]

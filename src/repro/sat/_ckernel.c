@@ -9,10 +9,12 @@
  * order* so engine-level fingerprints match bit-for-bit.  That pins three
  * things most C ports would treat as free choices:
  *
- *  1. The branching heap replicates CPython's heapq (siftdown/siftup with
- *     the exact tuple ordering `(-activity, var)` — key first, variable
- *     index as the tie-break), including its lazy handling of stale
- *     entries.
+ *  1. The branching order is the multiset of `(-activity, var)` tuples
+ *     that the spec's heapq holds, stale entries included, compared like
+ *     Python tuples (key first, variable index as the tie-break).  Branch
+ *     picking only ever reads the minimum of that multiset, so identical
+ *     tuples share one counted item and the heap's shape is free: the
+ *     kernel keeps a 4-ary heap that decides exactly like the spec.
  *  2. All activity arithmetic is IEEE-754 double precision in the same
  *     operation order as the Python code (growth by multiplying with
  *     1.0/0.95 resp. 1.0/0.999, rescales at >1e100 / >1e20), so activity
@@ -117,13 +119,12 @@ typedef struct {
     Py_ssize_t size, cap;
 } IntVec;
 
-/* Packed to 12 bytes: the heap is the kernel's largest structure. */
-#pragma pack(push, 4)
+/* `count` copies of the tuple (key, var) in the spec's heapq. */
 typedef struct {
     double key;
     int32_t var;
+    int32_t count;
 } HeapItem;
-#pragma pack(pop)
 
 static int
 clausevec_push(ClauseVec *v, Clause *c)
@@ -201,6 +202,7 @@ typedef struct {
 
     HeapItem *heap;
     Py_ssize_t heap_size, heap_cap;
+    Py_ssize_t *heap_pos; /* per var: slot of its tracked item, or -1 */
 
     double var_inc, var_inc_growth;
     double cla_inc, cla_inc_growth;
@@ -264,13 +266,23 @@ trail_lim_push(CSolver *s, int32_t boundary)
     return 0;
 }
 
-/* ----------------------------------------------------------- CPython heapq
+/* ------------------------------------------------------ VSIDS order heap
  *
- * An exact transcription of CPython's heapq._siftdown/_siftup over
- * (key, var) pairs compared like Python tuples: key first, var breaks
- * ties.  Stale entries (pushed with an old activity) keep their pushed
- * key, exactly like the Python heap of immutable tuples.
+ * PySolver keeps a heapq of (-activity, var) tuples: every push appends a
+ * tuple, stale ones included, and branch picking pops the minimum until an
+ * unassigned variable comes up.  Only the minimum is ever read, so the
+ * kernel keeps the same multiset with one counted item per run of
+ * identical tuples, in a 4-ary min-heap ordered like Python tuples: key
+ * first, var breaks ties.  Keys compare with `==`, so 0.0 and -0.0 are one
+ * key, as they are one tuple to Python.
+ *
+ * heap_pos[var] is the slot of the item holding var's most recently pushed
+ * key, or -1 once that item is gone.  A push with an equal key adds to its
+ * count; any other push inserts a new item that becomes the tracked one.
+ * The older item keeps its (now stale) key and is no longer tracked.
  */
+
+#define HEAP_ARITY 4
 
 static inline int
 heap_lt(HeapItem a, HeapItem b)
@@ -282,10 +294,41 @@ heap_lt(HeapItem a, HeapItem b)
     return 0;
 }
 
-/* The heap keeps every stale entry, like the Python heapq it transcribes,
- * so a long-lived incremental solver's heap can reach tens of MiB.  On
- * Linux, arrays of HEAP_MAP_BYTES and more get a mapping of their own and
- * grow by mremap: a realloc inside the malloc arena would copy the array
+/* Store item at pos; a tracked item takes its slot along. */
+static inline void
+heap_put(CSolver *s, Py_ssize_t pos, HeapItem item, int tracked)
+{
+    s->heap[pos] = item;
+    if (tracked)
+        s->heap_pos[item.var] = pos;
+}
+
+/* Move the item at slot from to slot to. */
+static inline void
+heap_move(CSolver *s, Py_ssize_t from, Py_ssize_t to)
+{
+    HeapItem item = s->heap[from];
+    heap_put(s, to, item, s->heap_pos[item.var] == from);
+}
+
+/* Fill the hole at pos with item, sifting it towards the root. */
+static void
+heap_sift_up(CSolver *s, Py_ssize_t pos, HeapItem item, int tracked)
+{
+    while (pos > 0) {
+        Py_ssize_t parentpos = (pos - 1) / HEAP_ARITY;
+        if (!heap_lt(item, s->heap[parentpos]))
+            break;
+        heap_move(s, parentpos, pos);
+        pos = parentpos;
+    }
+    heap_put(s, pos, item, tracked);
+}
+
+/* Stale items stay until they reach the top, as in the spec, so a
+ * long-lived incremental solver's heap can reach MiBs.  On Linux, arrays
+ * of HEAP_MAP_BYTES and more get a mapping of their own and grow by
+ * mremap: a realloc inside the malloc arena would copy the array
  * and keep the old copy resident, and glibc places large blocks there once
  * its dynamic mmap threshold has risen. */
 #if defined(__linux__) && defined(MREMAP_MAYMOVE)
@@ -343,61 +386,50 @@ heap_free(CSolver *s)
 static int
 heap_push(CSolver *s, double key, int32_t var)
 {
+    /* heapq.heappush((key, var)) */
+    Py_ssize_t pos = s->heap_pos[var];
+    if (pos >= 0 && s->heap[pos].key == key && s->heap[pos].count < INT32_MAX) {
+        s->heap[pos].count++;
+        return 0;
+    }
     if (s->heap_size == s->heap_cap && heap_grow(s) < 0)
         return -1;
-    /* heapq.heappush: append + _siftdown(heap, 0, len-1) */
-    Py_ssize_t pos = s->heap_size++;
-    HeapItem newitem;
-    newitem.key = key;
-    newitem.var = var;
-    while (pos > 0) {
-        Py_ssize_t parentpos = (pos - 1) >> 1;
-        HeapItem parent = s->heap[parentpos];
-        if (heap_lt(newitem, parent)) {
-            s->heap[pos] = parent;
-            pos = parentpos;
-            continue;
-        }
-        break;
-    }
-    s->heap[pos] = newitem;
+    HeapItem item;
+    item.key = key;
+    item.var = var;
+    item.count = 1;
+    heap_sift_up(s, s->heap_size++, item, 1);
     return 0;
 }
 
-static HeapItem
-heap_pop(CSolver *s)
+/* Remove the top item with all its copies. */
+static void
+heap_remove_top(CSolver *s)
 {
-    /* heapq.heappop: pop last; if non-empty, move to root and _siftup. */
-    HeapItem lastelt = s->heap[--s->heap_size];
-    if (s->heap_size == 0)
-        return lastelt;
-    HeapItem returnitem = s->heap[0];
-    Py_ssize_t endpos = s->heap_size;
+    Py_ssize_t end = --s->heap_size;
+    if (s->heap_pos[s->heap[0].var] == 0)
+        s->heap_pos[s->heap[0].var] = -1;
+    if (end == 0)
+        return;
+    HeapItem item = s->heap[end];
+    int tracked = s->heap_pos[item.var] == end;
     Py_ssize_t pos = 0;
-    HeapItem newitem = lastelt;
-    Py_ssize_t childpos = 2 * pos + 1;
-    while (childpos < endpos) {
-        Py_ssize_t rightpos = childpos + 1;
-        if (rightpos < endpos && !heap_lt(s->heap[childpos], s->heap[rightpos]))
-            childpos = rightpos;
-        s->heap[pos] = s->heap[childpos];
-        pos = childpos;
-        childpos = 2 * pos + 1;
-    }
-    s->heap[pos] = newitem;
-    /* _siftdown(heap, startpos=0, pos) */
-    while (pos > 0) {
-        Py_ssize_t parentpos = (pos - 1) >> 1;
-        HeapItem parent = s->heap[parentpos];
-        if (heap_lt(newitem, parent)) {
-            s->heap[pos] = parent;
-            pos = parentpos;
-            continue;
+    for (;;) {
+        Py_ssize_t child = HEAP_ARITY * pos + 1;
+        if (child >= end)
+            break;
+        Py_ssize_t last = child + HEAP_ARITY < end ? child + HEAP_ARITY : end;
+        Py_ssize_t best = child;
+        for (Py_ssize_t c = child + 1; c < last; c++) {
+            if (heap_lt(s->heap[c], s->heap[best]))
+                best = c;
         }
-        break;
+        if (!heap_lt(s->heap[best], item))
+            break;
+        heap_move(s, best, pos);
+        pos = best;
     }
-    s->heap[pos] = newitem;
-    return returnitem;
+    heap_put(s, pos, item, tracked);
 }
 
 /* -------------------------------------------------------------- growth */
@@ -428,6 +460,7 @@ cs_ensure_vars(CSolver *s, int32_t want)
         GROW(activity, double, nvars);
         GROW(lbd_mark, int32_t, nvars);
         GROW(visit_mark, int32_t, nvars);
+        GROW(heap_pos, Py_ssize_t, nvars);
         GROW(assume_mark, int8_t, nlits);
         GROW(lit_mark, int32_t, nlits);
         GROW(watches, ClauseVec, nlits);
@@ -457,6 +490,7 @@ cs_ensure_vars(CSolver *s, int32_t want)
         s->phase[var] = 0;
         s->seen[var] = 0;
         s->activity[var] = 0.0;
+        s->heap_pos[var] = -1;
         if (heap_push(s, 0.0, var) < 0)
             return -1;
     }
@@ -480,21 +514,25 @@ cs_enqueue(CSolver *s, int32_t ilit, Clause *reason)
     return trail_push(s, ilit);
 }
 
-static void
+/* -1 when a heap push ran out of memory; the trail is unwound either way. */
+static int
 cs_cancel_until(CSolver *s, Py_ssize_t level)
 {
     if (s->trail_lim_size <= level)
-        return;
+        return 0;
+    int rc = 0;
     Py_ssize_t boundary = s->trail_lim[level];
     for (Py_ssize_t t = s->trail_size - 1; t >= boundary; t--) {
         int32_t var = s->trail[t] >> 1;
         s->assigns[var] = VAL_UNASSIGNED;
         s->reason[var] = NULL;
-        heap_push(s, -s->activity[var], var);
+        if (heap_push(s, -s->activity[var], var) < 0)
+            rc = -1;
     }
     s->trail_size = boundary;
     s->trail_lim_size = level;
     s->qhead = s->trail_size;
+    return rc;
 }
 
 static int
@@ -621,7 +659,7 @@ cs_propagate(CSolver *s)
     return conflict;
 }
 
-static void
+static int
 cs_bump_var(CSolver *s, int32_t var)
 {
     s->activity[var] += s->var_inc;
@@ -633,7 +671,8 @@ cs_bump_var(CSolver *s, int32_t var)
     /* Assigned variables are pushed by cancel_until when they become
      * selectable again; pushing here would only add stale entries. */
     if (s->assigns[var] < 0)
-        heap_push(s, -s->activity[var], var);
+        return heap_push(s, -s->activity[var], var);
+    return 0;
 }
 
 static void
@@ -680,11 +719,12 @@ cs_analyze(CSolver *s, Clause *conflict, int32_t *out_bt, int32_t *out_lbd)
             if (s->level[var] == 0)
                 continue;
             s->seen[var] = 1;
-            cs_bump_var(s, var);
+            if (cs_bump_var(s, var) < 0)
+                goto oom;
             if (s->level[var] >= dlevel)
                 counter++;
             else if (intvec_push(learned, lit) < 0)
-                return -1;
+                goto oom;
         }
         while (!s->seen[s->trail[index] >> 1])
             index--;
@@ -729,6 +769,11 @@ cs_analyze(CSolver *s, Clause *conflict, int32_t *out_bt, int32_t *out_lbd)
     }
     *out_lbd = lbd;
     return 0;
+
+oom:
+    /* Leave no marks behind for the next analysis. */
+    memset(s->seen, 0, (size_t)s->num_vars + 1);
+    return -1;
 }
 
 static int
@@ -832,9 +877,16 @@ static int32_t
 cs_pick_branch(CSolver *s)
 {
     while (s->heap_size > 0) {
-        HeapItem it = heap_pop(s);
-        if (s->assigns[it.var] < 0)
-            return 2 * it.var + (s->phase[it.var] ? 0 : 1);
+        /* The spec pops one copy of an unassigned top; an assigned top's
+         * copies all come off in consecutive pops. */
+        HeapItem *top = &s->heap[0];
+        int32_t var = top->var;
+        if (s->assigns[var] < 0) {
+            if (--top->count == 0)
+                heap_remove_top(s);
+            return 2 * var + (s->phase[var] ? 0 : 1);
+        }
+        heap_remove_top(s);
     }
     for (int32_t var = 1; var <= s->num_vars; var++) {
         if (s->assigns[var] < 0)
@@ -1268,7 +1320,10 @@ solver_solve(CSolver *s, PyObject *const *args, Py_ssize_t nargs)
         return NULL;
     }
 
-    cs_cancel_until(s, 0);
+    if (cs_cancel_until(s, 0) < 0) {
+        free(assumptions);
+        return PyErr_NoMemory();
+    }
     int64_t conflicts_at_start = s->conflicts;
     int64_t restart_index = 0;
     int64_t restart_budget = 64 * luby(restart_index);
@@ -1292,13 +1347,15 @@ solver_solve(CSolver *s, PyObject *const *args, Py_ssize_t nargs)
             int32_t backtrack_level, lbd;
             if (cs_analyze(s, conflict, &backtrack_level, &lbd) < 0)
                 goto oom;
-            cs_cancel_until(s, backtrack_level);
+            if (cs_cancel_until(s, backtrack_level) < 0)
+                goto oom;
             if (cs_record_learned(s, lbd) < 0)
                 goto oom;
             s->var_inc *= s->var_inc_growth;
             s->cla_inc *= s->cla_inc_growth;
             if (has_budget && s->conflicts - conflicts_at_start >= budget) {
-                cs_cancel_until(s, 0);
+                if (cs_cancel_until(s, 0) < 0)
+                    goto oom;
                 status = -1;
                 break;
             }
@@ -1306,7 +1363,8 @@ solver_solve(CSolver *s, PyObject *const *args, Py_ssize_t nargs)
             if (expired < 0)
                 goto fail;
             if (expired) {
-                cs_cancel_until(s, 0);
+                if (cs_cancel_until(s, 0) < 0)
+                    goto oom;
                 status = -1;
                 break;
             }
@@ -1314,7 +1372,8 @@ solver_solve(CSolver *s, PyObject *const *args, Py_ssize_t nargs)
                 restart_index++;
                 restart_budget = 64 * luby(restart_index);
                 conflicts_this_restart = 0;
-                cs_cancel_until(s, 0);
+                if (cs_cancel_until(s, 0) < 0)
+                    goto oom;
             }
             continue;
         }
@@ -1324,7 +1383,8 @@ solver_solve(CSolver *s, PyObject *const *args, Py_ssize_t nargs)
             if (expired < 0)
                 goto fail;
             if (expired) {
-                cs_cancel_until(s, 0);
+                if (cs_cancel_until(s, 0) < 0)
+                    goto oom;
                 status = -1;
                 break;
             }
@@ -1349,7 +1409,8 @@ solver_solve(CSolver *s, PyObject *const *args, Py_ssize_t nargs)
                 free(core_lits.data);
                 if (core == NULL)
                     goto fail;
-                cs_cancel_until(s, 0);
+                if (cs_cancel_until(s, 0) < 0)
+                    goto oom;
                 status = 0;
                 break;
             }
@@ -1370,7 +1431,8 @@ solver_solve(CSolver *s, PyObject *const *args, Py_ssize_t nargs)
             values = build_values(s);
             if (values == NULL)
                 goto fail;
-            cs_cancel_until(s, 0);
+            if (cs_cancel_until(s, 0) < 0)
+                goto oom;
             status = 1;
             break;
         }
@@ -1400,7 +1462,7 @@ fail:
     free(assumptions);
     Py_XDECREF(values);
     Py_XDECREF(core);
-    cs_cancel_until(s, 0);
+    (void)cs_cancel_until(s, 0); /* an exception is already set */
     return NULL;
 }
 
@@ -1434,6 +1496,7 @@ solver_new(PyTypeObject *type, PyObject *Py_UNUSED(args), PyObject *Py_UNUSED(kw
     s->qhead = 0;
     s->heap = NULL;
     s->heap_size = s->heap_cap = 0;
+    s->heap_pos = NULL;
     s->var_inc = 1.0;
     s->var_inc_growth = 1.0 / 0.95;
     s->cla_inc = 1.0;
@@ -1492,8 +1555,34 @@ solver_dealloc(CSolver *s)
     free(s->trail);
     free(s->trail_lim);
     heap_free(s);
+    free(s->heap_pos);
     Py_TYPE(s)->tp_free((PyObject *)s);
 }
+
+static PyObject *
+solver_get_order_heap(CSolver *s, void *Py_UNUSED(closure))
+{
+    PyObject *items = PyList_New(s->heap_size);
+    if (items == NULL)
+        return NULL;
+    for (Py_ssize_t k = 0; k < s->heap_size; k++) {
+        HeapItem it = s->heap[k];
+        PyObject *item = Py_BuildValue("(dii)", it.key, (int)it.var, (int)it.count);
+        if (item == NULL) {
+            Py_DECREF(items);
+            return NULL;
+        }
+        PyList_SET_ITEM(items, k, item);
+    }
+    return items;
+}
+
+static PyGetSetDef solver_getset[] = {
+    {"order_heap", (getter)solver_get_order_heap, NULL,
+     "The VSIDS order heap as (key, var, count) items in slot order "
+     "(test hook).", NULL},
+    {NULL, NULL, NULL, NULL, NULL},
+};
 
 static PyMethodDef solver_methods[] = {
     {"new_var", (PyCFunction)solver_new_var, METH_NOARGS,
@@ -1530,6 +1619,7 @@ static PyTypeObject SolverType = {
     .tp_doc = "Compiled CDCL kernel (decision-for-decision twin of PySolver).",
     .tp_methods = solver_methods,
     .tp_members = solver_members,
+    .tp_getset = solver_getset,
     .tp_new = solver_new,
 };
 

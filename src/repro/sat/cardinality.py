@@ -73,21 +73,6 @@ def at_most_k(cnf: CNF, lits: Sequence[int], k: int, encoding: str = "seqcounter
         raise CnfError(f"unknown cardinality encoding: {encoding!r}")
 
 
-def at_least_k(cnf: CNF, lits: Sequence[int], k: int, encoding: str = "seqcounter") -> None:
-    """Assert that at least ``k`` of ``lits`` are true."""
-    lits = [check_literal(l) for l in lits]
-    if k <= 0:
-        return
-    if k > len(lits):
-        # Unsatisfiable: encode a fresh contradiction.
-        fresh = cnf.new_var()
-        cnf.add_unit(fresh)
-        cnf.add_unit(-fresh)
-        return
-    # at_least_k(lits, k) == at_most_k(~lits, n - k)
-    at_most_k(cnf, [-l for l in lits], len(lits) - k, encoding=encoding)
-
-
 def _seqcounter_at_most_k(cnf: CNF, lits: Sequence[int], k: int) -> None:
     """Sinz's sequential (unary) counter encoding of AtMost-k.
 

@@ -981,6 +981,13 @@ class CKernelSolver:
     def _var_inc(self, value: float) -> None:
         self._c.var_inc = value
 
+    @property
+    def _order_heap_items(self) -> List[Tuple[float, int, int]]:
+        # Test hook, the counterpart of PySolver._order_heap: the kernel
+        # holds the same multiset of (key, var) tuples as (key, var, count)
+        # items, identical tuples sharing one item.
+        return self._c.order_heap
+
     def new_var(self) -> int:
         return self._c.new_var()
 

@@ -10,7 +10,6 @@ import pytest
 
 from repro.errors import CnfError
 from repro.sat.cardinality import (
-    at_least_k,
     at_least_one,
     at_most_k,
     at_most_one,
@@ -89,27 +88,6 @@ class TestAtMostK:
             lambda cnf, lits: at_most_k(cnf, lits, 1, encoding="pairwise"), 3
         )
         assert accepted == {0, 1}
-
-
-class TestAtLeastK:
-    @pytest.mark.parametrize("n,k", [(3, 1), (4, 2), (4, 4)])
-    def test_exact_semantics(self, n, k):
-        accepted = _accepted_counts(lambda cnf, lits: at_least_k(cnf, lits, k), n)
-        assert accepted == set(range(k, n + 1))
-
-    def test_k_zero_is_noop(self):
-        cnf = CNF()
-        lits = cnf.new_vars(3)
-        at_least_k(cnf, lits, 0)
-        assert len(cnf) == 0
-
-    def test_k_above_size_unsatisfiable(self):
-        cnf = CNF()
-        lits = cnf.new_vars(2)
-        at_least_k(cnf, lits, 3)
-        solver = Solver()
-        solver.add_cnf(cnf)
-        assert solver.solve().status is False
 
 
 class TestTotalizerOutputs:

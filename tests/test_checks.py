@@ -13,7 +13,7 @@ from repro.circuits.generators import (
     majority,
     parity_tree,
 )
-from repro.core.checks import RelaxationChecker, check_decomposable
+from repro.core.checks import RelaxationChecker
 from repro.core.partition import VariablePartition
 from repro.errors import DecompositionError
 
@@ -40,9 +40,9 @@ class TestKnownCases:
         f = BooleanFunction.from_truth_table(table, 4)
         names = f.input_names
         good = VariablePartition((names[0], names[1]), (names[2], names[3]), ())
-        assert check_decomposable(f, "or", good)
+        assert RelaxationChecker(f, "or").check_partition(good).decomposable
         # The same partition is not AND-decomposable.
-        assert not check_decomposable(f, "and", good)
+        assert RelaxationChecker(f, "and").check_partition(good).decomposable is False
 
     def test_and_of_disjoint_disjunctions(self):
         table = 0
@@ -53,28 +53,22 @@ class TestKnownCases:
         f = BooleanFunction.from_truth_table(table, 4)
         names = f.input_names
         good = VariablePartition((names[0], names[1]), (names[2], names[3]), ())
-        assert check_decomposable(f, "and", good)
-        assert not check_decomposable(f, "or", good)
+        assert RelaxationChecker(f, "and").check_partition(good).decomposable
+        assert RelaxationChecker(f, "or").check_partition(good).decomposable is False
 
     def test_parity_xor_everywhere(self):
         f = BooleanFunction.from_output(parity_tree(4), "p")
         names = f.input_names
         for split in range(1, 4):
             partition = VariablePartition(tuple(names[:split]), tuple(names[split:]), ())
-            assert check_decomposable(f, "xor", partition)
+            assert RelaxationChecker(f, "xor").check_partition(partition).decomposable
 
     def test_two_input_xor_not_or_decomposable(self):
         f = BooleanFunction.from_truth_table(0b0110, 2)
         names = f.input_names
         partition = VariablePartition((names[0],), (names[1],), ())
-        assert not check_decomposable(f, "or", partition)
-        assert check_decomposable(f, "xor", partition)
-
-    def test_trivial_partition_rejected(self):
-        f = BooleanFunction.from_truth_table(0b0110, 2)
-        names = f.input_names
-        with pytest.raises(DecompositionError):
-            check_decomposable(f, "or", VariablePartition((), tuple(names), ()))
+        assert RelaxationChecker(f, "or").check_partition(partition).decomposable is False
+        assert RelaxationChecker(f, "xor").check_partition(partition).decomposable
 
     def test_single_input_function_rejected(self):
         f = BooleanFunction.from_truth_table(0b10, 1)
@@ -93,7 +87,7 @@ class TestKnownCases:
             )
             if partition.is_trivial:
                 continue
-            assert check_decomposable(f, operator, partition)
+            assert RelaxationChecker(f, operator).check_partition(partition).decomposable
 
 
 class TestRelaxationChecker:
@@ -212,7 +206,7 @@ class TestAgainstReference:
             return
         expected = reference_decomposable(table, n, operator, xa, xb)
         partition = _partition_from_positions(names, xa, xb)
-        assert check_decomposable(f, operator, partition) == expected
+        assert RelaxationChecker(f, operator).check_partition(partition).decomposable == expected
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(min_value=0, max_value=2**8 - 1))
@@ -222,7 +216,7 @@ class TestAgainstReference:
         f = BooleanFunction.from_truth_table(table, 3)
         names = f.input_names
         partition = VariablePartition((names[0],), (names[1],), (names[2],))
-        sat_answer = check_decomposable(f, "or", partition)
+        sat_answer = RelaxationChecker(f, "or").check_partition(partition).decomposable
         bdd_answer = bdd_check_decomposable(
             f, "or", [names[0]], [names[1]], [names[2]]
         )

@@ -156,7 +156,7 @@ class TestLogicGenerators:
 class TestDecomposableByConstruction:
     @pytest.mark.parametrize("operator", ["or", "and", "xor"])
     def test_ground_truth_partition_is_decomposable(self, operator):
-        from repro.core.checks import check_decomposable
+        from repro.core.checks import RelaxationChecker
         from repro.core.partition import VariablePartition
 
         aig, xa, xb, xc = generators.decomposable_by_construction(operator, 2, 2, 1, seed=13)
@@ -169,7 +169,7 @@ class TestDecomposableByConstruction:
         )
         if partition.is_trivial:
             pytest.skip("degenerate random instance")
-        assert check_decomposable(f, operator, partition)
+        assert RelaxationChecker(f, operator).check_partition(partition).decomposable
 
 
 class TestLibraryAndSuites:

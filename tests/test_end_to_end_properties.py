@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.aig.function import BooleanFunction
-from repro.core.checks import RelaxationChecker, check_decomposable
+from repro.core.checks import RelaxationChecker
 from repro.core.engine import BiDecomposer, EngineOptions
 from repro.core.extract import extract_functions
 from repro.core.ljh import ljh_find_partition
@@ -86,7 +86,7 @@ def test_every_decomposable_partition_extracts_and_verifies(table, operator):
 
     partition = VariablePartition(tuple(names[:2]), tuple(names[2:]), ())
     expected = decomposable(table, n, operator, xa, xb)
-    assert check_decomposable(f, operator, partition) == expected
+    assert RelaxationChecker(f, operator).check_partition(partition).decomposable == expected
     if expected:
         fa, fb = extract_functions(f, operator, partition)
         assert verify_decomposition(f, operator, fa, fb, partition)

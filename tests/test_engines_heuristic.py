@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.aig.function import BooleanFunction
 from repro.circuits.generators import decomposable_by_construction, parity_tree
-from repro.core.checks import RelaxationChecker, check_decomposable
+from repro.core.checks import RelaxationChecker
 from repro.core.ljh import ljh_decompose, ljh_find_partition
 from repro.core.mus_partition import mus_decompose, mus_find_partition
 from repro.core.spec import ENGINE_LJH, ENGINE_STEP_MG
@@ -27,7 +27,7 @@ class TestLjh:
         partition = ljh_find_partition(checker)
         assert partition is not None
         assert not partition.is_trivial
-        assert check_decomposable(f, operator, partition)
+        assert RelaxationChecker(f, operator).check_partition(partition).decomposable
 
     def test_reports_non_decomposable(self):
         # 2-input XOR has no non-trivial OR decomposition.
@@ -54,7 +54,7 @@ class TestLjh:
         checker = RelaxationChecker(f, "xor")
         partition = ljh_find_partition(checker)
         assert partition is not None
-        assert check_decomposable(f, "xor", partition)
+        assert RelaxationChecker(f, "xor").check_partition(partition).decomposable
 
 
 class TestStepMg:
@@ -64,7 +64,7 @@ class TestStepMg:
         partition = mus_find_partition(checker)
         assert partition is not None
         assert not partition.is_trivial
-        assert check_decomposable(f, operator, partition)
+        assert RelaxationChecker(f, operator).check_partition(partition).decomposable
 
     def test_reports_non_decomposable(self):
         f = BooleanFunction.from_truth_table(0b0110, 2)
@@ -91,7 +91,7 @@ class TestStepMg:
         checker = RelaxationChecker(f, "xor")
         partition = mus_find_partition(checker)
         assert partition is not None
-        assert check_decomposable(f, "xor", partition)
+        assert RelaxationChecker(f, "xor").check_partition(partition).decomposable
 
 
 class _CountingDeadline:

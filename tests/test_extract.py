@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.aig.function import BooleanFunction
 from repro.circuits.generators import decomposable_by_construction, parity_tree
-from repro.core.checks import check_decomposable
 from repro.core.extract import extract_functions
 from repro.core.partition import VariablePartition
 from repro.core.verify import verify_decomposition

@@ -6,7 +6,9 @@ tie-breaking, same restart schedule, same learned clauses, same models.
 These tests run both substrates over the solver-fuzz instance corpus and
 demand identical verdicts, models, cores, and work counters — not merely
 equisatisfiable answers.  Every model is additionally verified against
-the CNF so that an agreeing-but-wrong pair cannot pass.
+the CNF so that an agreeing-but-wrong pair cannot pass.  The lockstep runs
+also compare the VSIDS order heaps: the kernel's counted items must hold
+exactly the multiset of tuples in the reference's ``heapq`` list.
 
 All kernel-backed tests skip when the extension is not built (the
 pure-Python-only CI job) and run against the pure path regardless, so
@@ -16,6 +18,7 @@ pure-Python-only CI job) and run against the pure path regardless, so
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -59,6 +62,27 @@ def _run(solver, clauses, assumptions=(), **solve_kwargs):
     return observation
 
 
+def _assert_same_heap(pure, kern):
+    counts = Counter()
+    for key, var, count in kern._order_heap_items:
+        counts[key, var] += count
+    assert counts == Counter(pure._order_heap)
+
+
+def _run_lockstep(pure, kern, clauses, assumptions=(), **solve_kwargs):
+    """``_run`` on both substrates, comparing the order heaps after every
+    ``add_clauses`` call and after the solve; returns both observations."""
+    for clause in clauses:
+        pure.add_clause(clause)
+        kern.add_clause(clause)
+        _assert_same_heap(pure, kern)
+    observations = [
+        _run(solver, (), assumptions, **solve_kwargs) for solver in (pure, kern)
+    ]
+    _assert_same_heap(pure, kern)
+    return observations
+
+
 class TestFactoryDispatch:
     @needs_kernel
     def test_default_factory_returns_the_kernel(self):
@@ -88,8 +112,7 @@ class TestFactoryDispatch:
 class TestFuzzMatrix:
     @pytest.mark.parametrize("label,num_vars,clauses", INSTANCES)
     def test_identical_verdicts_models_and_counters(self, label, num_vars, clauses):
-        pure = _run(PySolver(), clauses)
-        kern = _run(CKernelSolver(), clauses)
+        pure, kern = _run_lockstep(PySolver(), CKernelSolver(), clauses)
         assert kern == pure, f"substrates diverged on {label}"
         if pure["status"] is True:
             assert model_satisfies(pure["model"], clauses)
@@ -101,8 +124,7 @@ class TestFuzzMatrix:
             v if rng.random() < 0.5 else -v
             for v in rng.sample(range(1, num_vars + 1), 3)
         ]
-        pure = _run(PySolver(), clauses, assumptions)
-        kern = _run(CKernelSolver(), clauses, assumptions)
+        pure, kern = _run_lockstep(PySolver(), CKernelSolver(), clauses, assumptions)
         assert kern == pure, f"substrates diverged on {label} under assumptions"
         if pure["status"] is True:
             augmented = list(clauses) + [(lit,) for lit in assumptions]
@@ -112,10 +134,44 @@ class TestFuzzMatrix:
         label, num_vars, clauses = INSTANCES[0]
         half = len(clauses) // 2
         pure, kern = PySolver(), CKernelSolver()
-        first = (_run(pure, clauses[:half]), _run(kern, clauses[:half]))
-        second = (_run(pure, clauses[half:]), _run(kern, clauses[half:]))
+        first = _run_lockstep(pure, kern, clauses[:half])
+        second = _run_lockstep(pure, kern, clauses[half:])
         assert first[1] == first[0]
         assert second[1] == second[0]
+
+    @pytest.mark.parametrize("label,num_vars,clauses", INSTANCES[:12])
+    def test_incremental_runs_under_changing_assumptions(self, label, num_vars, clauses):
+        rng = deterministic_rng(f"incremental-{label}")
+        pure, kern = PySolver(), CKernelSolver()
+        quarter = len(clauses) // 4
+        for start in range(0, 4 * quarter, quarter):
+            assumptions = [
+                v if rng.random() < 0.5 else -v
+                for v in rng.sample(range(1, num_vars + 1), 2)
+            ]
+            batch = clauses[start : start + quarter]
+            observed = _run_lockstep(pure, kern, batch, assumptions)
+            assert observed[1] == observed[0], f"substrates diverged on {label}"
+
+
+@needs_kernel
+class TestOrderHeapMultiset:
+    def test_conflict_free_resolves_share_counted_items(self):
+        # Each assumption implies two variables and the last assumption
+        # contradicts one of them, so every solve fails on an assumption
+        # without a conflict and no activity moves.  The search stops
+        # before the heap drains, and the backtrack pushes the same twelve
+        # tuples again: the spec appends them, the kernel counts them.
+        clauses = [(-a, b) for a in range(1, 9) for b in (a + 8, a + 16)]
+        pure, kern = PySolver(), CKernelSolver()
+        _run_lockstep(pure, kern, clauses)
+        for _ in range(25):
+            observed = _run_lockstep(pure, kern, (), [1, 3, 5, 7, -15])
+            assert observed[1] == observed[0]
+            assert observed[0]["core"] == (-15, 7)
+        assert kern.conflicts == pure.conflicts == 0
+        assert len(kern._order_heap_items) <= kern.num_vars
+        assert len(pure._order_heap) > 4 * kern.num_vars
 
 
 @needs_kernel
@@ -158,7 +214,8 @@ class TestLbdReductionDifferential:
         pure._reduce_base = 30
         kern._reduce_base = 30
         assert kern._reduce_base == 30
-        assert _run(kern, clauses) == _run(pure, clauses)
+        expected, observed = _run_lockstep(pure, kern, clauses)
+        assert observed == expected
 
 
 @needs_kernel
@@ -188,8 +245,8 @@ class TestActivityRescaleDifferential:
                 v if rng.random() < 0.5 else -v
                 for v in rng.sample(range(1, num_vars + 1), 3)
             ]
-            expected = _run(pure, batch, assumptions)
-            assert _run(kern, batch, assumptions) == expected
+            expected, observed = _run_lockstep(pure, kern, batch, assumptions)
+            assert observed == expected
             assert kern._var_inc == pure._var_inc
             if expected["status"] is True:
                 augmented = added + [(lit,) for lit in assumptions]

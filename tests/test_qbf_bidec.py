@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from repro.aig.function import BooleanFunction
 from repro.circuits.generators import decomposable_by_construction, parity_tree
 from repro.core import qbf_bidec
-from repro.core.checks import RelaxationChecker, check_decomposable
+from repro.core.checks import RelaxationChecker
 from repro.core.mus_partition import mus_find_partition
 from repro.core.qbf_bidec import (
     GenericQbfPartitionSolver,
@@ -78,7 +78,7 @@ class TestBoundQueries:
         solver = QbfPartitionSolver(checker, "balancedness")
         answer = solver.query(1, deadline=Deadline(30.0))
         if answer.status:
-            assert check_decomposable(f, "or", answer.partition)
+            assert RelaxationChecker(f, "or").check_partition(answer.partition).decomposable
 
     def test_blocking_clauses_shared_across_bounds(self):
         f = BooleanFunction.from_output(parity_tree(4), "p")
@@ -139,7 +139,7 @@ class TestEngineResults:
         result = _run_engine(f, "or", target)
         assert result.engine == engine_name
         assert result.decomposed
-        assert check_decomposable(f, "or", result.partition)
+        assert RelaxationChecker(f, "or").check_partition(result.partition).decomposable
 
     def test_not_decomposable_function(self):
         f = BooleanFunction.from_truth_table(0b0110, 2)  # XOR
@@ -203,7 +203,7 @@ class TestOptimality:
         assert result.optimum_proven
         assert metric_value(result.partition, target) == expected
         names = f.input_names
-        assert check_decomposable(f, operator, result.partition)
+        assert RelaxationChecker(f, operator).check_partition(result.partition).decomposable
 
     def test_generic_backend_agrees_with_specialised(self):
         aig, *_ = decomposable_by_construction("or", 2, 2, 0, seed=77)
