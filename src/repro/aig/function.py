@@ -97,13 +97,6 @@ class BooleanFunction:
     def input_names(self) -> List[str]:
         return [self.aig.input_name(i) for i in self.inputs]
 
-    def input_index(self, name: str) -> int:
-        """Position of the named input in this function's input order."""
-        for position, node in enumerate(self.inputs):
-            if self.aig.input_name(node) == name:
-                return position
-        raise AigError(f"no input named {name!r}")
-
     def support(self, functional: bool = True) -> List[int]:
         """Input node indices the function depends on."""
         if functional:

@@ -64,9 +64,6 @@ class BDD:
     def var_names(self) -> List[str]:
         return list(self._var_names)
 
-    def level_of(self, name: str) -> int:
-        return self._name_to_level[name]
-
     @property
     def num_nodes(self) -> int:
         return len(self._level)

@@ -2,8 +2,8 @@
 
 All exceptions raised by the library derive from :class:`ReproError` so that
 callers can catch library failures with a single ``except`` clause while
-still being able to distinguish parse errors, solver resource limits and
-malformed problem specifications.
+still being able to distinguish parse errors, solver misuse, malformed problem
+specifications and service failures.
 """
 
 from __future__ import annotations
@@ -37,18 +37,6 @@ class CnfError(ReproError):
 
 class SolverError(ReproError):
     """The SAT or QBF solver was used incorrectly (e.g. invalid literal)."""
-
-
-class ResourceLimitReached(ReproError):
-    """A time, conflict or iteration budget was exhausted before completion."""
-
-
-class TimeoutReached(ResourceLimitReached):
-    """A wall-clock timeout expired before the computation finished."""
-
-
-class ConflictLimitReached(ResourceLimitReached):
-    """The SAT solver hit its conflict budget before reaching a verdict."""
 
 
 class AigError(ReproError):

@@ -106,74 +106,49 @@ class MetricsEndpoint:
     def __init__(self, render: Callable[[], str]) -> None:
         # ``render`` produces the full exposition body; it runs off-loop.
         self._render = render
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._address: Optional[str] = None
-        self._socket_path: Optional[str] = None
+        self._listener = None
 
     @property
     def address(self) -> Optional[str]:
         """The bound scrape address (resolved for TCP port 0)."""
-        return self._address
+        listener = self._listener
+        return listener.address if listener is not None else None
 
     async def start(self, address: str) -> None:
         # Imported here, not at module top: service -> obs is the load-
-        # bearing direction; this one helper reuses the daemon's listener
-        # plumbing without making obs depend on the service layer at
-        # import time.
-        from repro.service.daemon import open_listener
+        # bearing direction; this one helper reuses the service layer's
+        # listener without making obs depend on it at import time.
+        from repro.service.server import Listener
 
-        if self._server is not None:  # pragma: no cover - defensive
-            return
-        self._server, self._address, self._socket_path = await open_listener(
-            self._handle, address
-        )
+        listener = Listener(self._handle)
+        await listener.start(address)
+        self._listener = listener
 
     async def aclose(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        if self._socket_path is not None:
-            try:
-                import os
-
-                os.unlink(self._socket_path)
-            except OSError:
-                pass
-            self._socket_path = None
-        self._address = None
+        if self._listener is not None:
+            await self._listener.aclose()
+            self._listener = None
 
     async def _handle(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        # Consume the request head (request line + headers); the verb and
+        # path are irrelevant — every request gets the exposition.
         try:
-            # Consume the request head (request line + headers); the verb
-            # and path are irrelevant — every request gets the exposition.
-            try:
-                while True:
-                    line = await asyncio.wait_for(reader.readline(), timeout=5)
-                    if not line or line in (b"\r\n", b"\n"):
-                        break
-            except asyncio.TimeoutError:
-                return
-            body = await asyncio.get_running_loop().run_in_executor(
-                None, self._render
-            )
-            payload = body.encode("utf-8")
-            head = (
-                "HTTP/1.0 200 OK\r\n"
-                f"Content-Type: {CONTENT_TYPE}\r\n"
-                f"Content-Length: {len(payload)}\r\n"
-                "Connection: close\r\n"
-                "\r\n"
-            )
-            writer.write(head.encode("ascii") + payload)
-            await writer.drain()
-        except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
-                pass
+            while True:
+                line = await asyncio.wait_for(reader.readline(), timeout=5)
+                if not line or line in (b"\r\n", b"\n"):
+                    break
+        except asyncio.TimeoutError:
+            return
+        body = await asyncio.get_running_loop().run_in_executor(None, self._render)
+        payload = body.encode("utf-8")
+        head = (
+            "HTTP/1.0 200 OK\r\n"
+            f"Content-Type: {CONTENT_TYPE}\r\n"
+            f"Content-Length: {len(payload)}\r\n"
+            "Connection: close\r\n"
+            "\r\n"
+        )
+        writer.write(head.encode("ascii") + payload)
+        await writer.drain()

@@ -1,7 +1,7 @@
 """Boolean satisfiability substrate.
 
 This subpackage contains everything the paper's tool STEP obtains from
-MiniSAT-class solvers and from MUSer:
+MiniSAT-class solvers:
 
 * :mod:`repro.sat.cnf` — CNF formula container.
 * :mod:`repro.sat.tseitin` — clausal XOR and relaxation encodings.
@@ -13,8 +13,6 @@ MiniSAT-class solvers and from MUSer:
 * :mod:`repro.sat.proof` / :mod:`repro.sat.interpolate` — resolution proofs
   and McMillan interpolation, used to extract the decomposition functions
   ``fA`` and ``fB``.
-* :mod:`repro.sat.mus` — deletion-based MUS and group-MUS extraction, the
-  engine behind the STEP-MG baseline.
 """
 
 from repro.sat.cnf import CNF, Clause
@@ -24,7 +22,6 @@ from repro.sat.cardinality import (
     at_most_one,
     at_most_k,
 )
-from repro.sat.mus import MusExtractor, GroupMusExtractor
 
 __all__ = [
     "CNF",
@@ -34,6 +31,4 @@ __all__ = [
     "at_least_one",
     "at_most_one",
     "at_most_k",
-    "MusExtractor",
-    "GroupMusExtractor",
 ]

@@ -94,9 +94,6 @@ class Proof:
     def original_clauses(self) -> List[ProofClause]:
         return [c for c in self._clauses if c.kind == ORIGINAL]
 
-    def learned_clauses(self) -> List[ProofClause]:
-        return [c for c in self._clauses if c.kind == LEARNED]
-
     # -- validation ------------------------------------------------------------
 
     def replay_chain(self, chain: ResolutionChain) -> Set[int]:

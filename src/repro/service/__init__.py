@@ -1,11 +1,15 @@
 """repro.service — the long-lived decomposition daemon, router and clients.
 
-Four modules put the session API on a stream socket (Unix or TCP):
+Five modules put the session API on a stream socket (Unix or TCP):
 
 * :mod:`repro.service.protocol` — the versioned JSON-lines wire protocol
   (``submit`` / ``event`` / ``result`` / ``cancel`` / ``stats`` frames)
   plus fingerprint-preserving codecs for circuits, requests and reports,
   address parsing and the size-capped :class:`FrameReader`;
+* :mod:`repro.service.server` — the one listening socket and client
+  frame loop under daemon and router (hello, frame reader, one-line
+  ``error`` replies, connection tracking, socket-file ownership) and the
+  embedding :class:`repro.service.server.ServerThread`;
 * :mod:`repro.service.daemon` — :class:`ReproService`, an asyncio server
   multiplexing any number of client connections onto ONE
   :class:`repro.api.aio.AsyncSession` (one warm executor pool, one

@@ -9,7 +9,8 @@ small request never waits for a monster another client submitted first;
 it competes by priority).  TCP is what lets ``repro.service.router`` put
 N of these daemons behind one consistent-hash front door.
 
-Protocol behaviour (frames in :mod:`repro.service.protocol`):
+Protocol behaviour (frames in :mod:`repro.service.protocol`, the
+connection loop shared with the router in :mod:`repro.service.server`):
 
 * every ``submit`` is acknowledged with a ``queued`` event carrying the
   server-assigned request id (and the client's ``tag``), then streams
@@ -30,22 +31,13 @@ notebooks).
 from __future__ import annotations
 
 import asyncio
-import os
-import stat as stat_module
-import threading
 from typing import Dict, Optional, Set
 
 from repro.api.aio import AsyncRequestHandle, AsyncSession
 from repro.api.config import CachePolicy
 from repro.api.lifecycle import STATE_DONE, TERMINAL_STATES
 from repro.api.registry import EngineRegistry
-from repro.errors import (
-    Backpressure,
-    FrameTooLarge,
-    ProtocolError,
-    ReproError,
-    ServiceError,
-)
+from repro.errors import Backpressure, ProtocolError, ReproError
 from repro.obs.exposition import MetricsEndpoint, render_prometheus
 from repro.obs.quota import ClientAccount, QuotaPolicy
 from repro.obs.registry import MetricsRegistry
@@ -54,49 +46,29 @@ from repro.obs.registry import merge_snapshots
 from repro.service.protocol import (
     PROTOCOL_VERSION,
     WIRE_LINE_LIMIT,
-    FrameReader,
-    check_client_frame,
-    decode_frame,
     decode_request,
-    encode_frame,
     encode_report,
-    format_address,
-    parse_address,
 )
+from repro.service.server import Connection, FrameServer, ServerThread
 
 
-async def open_listener(handler, address: str):
-    """Bind a JSON-lines listener on a Unix path or ``host:port``.
+class _Client(Connection):
+    """One daemon connection and the account its submits are charged to.
 
-    Returns ``(server, resolved_address, unix_path_or_None)``; a TCP bind
-    to port 0 resolves to the kernel-assigned port.  A pre-existing file
-    at a Unix path is unlinked only when it *is* a socket (the stale
-    leftover of a killed daemon); anything else — a user's regular file,
-    a directory — is refused with a one-line :class:`ServiceError` and
-    survives untouched.
+    ``owned`` maps request id -> final state once the pump delivered a
+    result (None while in flight): the honest answer for a late cancel
+    of a request whose session handle was already forgotten.
     """
-    kind, host, port = parse_address(address)
-    if kind == "unix" and os.path.exists(host):
-        # A previous daemon's stale socket file blocks bind(); a live
-        # daemon would still hold it open, so probing with connect would
-        # race — keep the policy simple: last starter wins.  Anything
-        # that is NOT a socket was never ours to delete.
-        if not stat_module.S_ISSOCK(os.stat(host).st_mode):
-            raise ServiceError(
-                f"refusing to serve on {host!r}: the path exists and is "
-                "not a socket"
-            )
-        os.unlink(host)
-    if kind == "tcp":
-        server = await asyncio.start_server(handler, host=host or None, port=port)
-        bound = server.sockets[0].getsockname()
-        return server, format_address(bound[0], bound[1]), None
-    server = await asyncio.start_unix_server(handler, path=host)
-    return server, host, host
+
+    def __init__(self, writer: asyncio.StreamWriter, account: ClientAccount) -> None:
+        super().__init__(writer)
+        self.account = account
 
 
-class ReproService:
+class ReproService(FrameServer):
     """The daemon: an asyncio server over one shared async session."""
+
+    role = "service"
 
     def __init__(
         self,
@@ -109,24 +81,16 @@ class ReproService:
         quota: Optional[QuotaPolicy] = None,
         metrics_address: Optional[str] = None,
     ) -> None:
+        super().__init__(line_limit)
         self._jobs = jobs
         self._backend = backend
         self._registry = registry
-        self._line_limit = line_limit
         self._cache_policy = (
             CachePolicy(directory=cache_dir, max_entries=cache_max_entries)
             if cache_dir is not None
             else None
         )
         self._session: Optional[AsyncSession] = None
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._address: Optional[str] = None
-        self._socket_path: Optional[str] = None
-        self._socket_id = None
-        self._connections = 0
-        self._served_connections = 0
-        self._conn_tasks: Set[asyncio.Task] = set()
-        self._conn_writers: Set[asyncio.StreamWriter] = set()
         # Admission bounds (all unenforced by default) and this daemon's
         # PRIVATE metrics registry: per-client series and request spans
         # must not bleed between two services embedded in one process.
@@ -161,12 +125,6 @@ class ReproService:
     def session(self) -> Optional[AsyncSession]:
         return self._session
 
-    @property
-    def address(self) -> Optional[str]:
-        """The bound address: the Unix path, or the **resolved**
-        ``host:port`` (a TCP bind to port 0 reports the kernel's pick)."""
-        return self._address
-
     # -- lifecycle ----------------------------------------------------------------
 
     async def start(self, address: str) -> asyncio.AbstractServer:
@@ -177,11 +135,7 @@ class ReproService:
         ``step serve`` at a regular file is refused with a one-line
         :class:`ServiceError` and the file survives.
         """
-        if self._server is not None:
-            raise ServiceError("the service is already serving")
-        self._server, self._address, self._socket_path = await open_listener(
-            self._handle_connection, address
-        )
+        server = await super().start(address)
         # No await between binding and building the session: connection
         # handlers only run once control returns to the loop, so every
         # handler sees a live session.
@@ -196,15 +150,7 @@ class ReproService:
                 lambda: render_prometheus(self.metrics_snapshot())
             )
             await self._metrics_endpoint.start(self._metrics_address)
-        if self._socket_path is not None:
-            # Identity of OUR bind: shutdown must never unlink a socket a
-            # newer daemon re-bound on the same path (last-starter-wins).
-            try:
-                stat = os.stat(self._socket_path)
-                self._socket_id = (stat.st_dev, stat.st_ino)
-            except OSError:  # pragma: no cover
-                self._socket_id = None
-        return self._server
+        return server
 
     @property
     def metrics_address(self) -> Optional[str]:
@@ -217,39 +163,11 @@ class ReproService:
         if self._metrics_endpoint is not None:
             await self._metrics_endpoint.aclose()
             self._metrics_endpoint = None
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        # EOF still-connected clients so their handlers run their own
-        # cleanup and exit, instead of being cancelled (noisily) at
-        # event-loop teardown.  Must happen while the session is still
-        # open: handler cleanup cancels and forgets owned requests.
-        # repro: allow[DET-SET-ITER] shutdown close order is irrelevant and StreamWriters are unsortable; nothing downstream observes it
-        for conn_writer in list(self._conn_writers):
-            conn_writer.close()
-        if self._conn_tasks:
-            await asyncio.wait(self._conn_tasks, timeout=5)
+        # Connection handlers clean up while the session is still open:
+        # their cleanup cancels and forgets owned requests.
+        await super().aclose()
         if self._session is not None:
             await self._session.aclose()
-        if self._socket_path is not None:
-            try:
-                stat = os.stat(self._socket_path)
-                if self._socket_id == (stat.st_dev, stat.st_ino):
-                    os.unlink(self._socket_path)
-            except OSError:
-                pass  # already gone, or replaced by a newer daemon
-        self._socket_path = None
-        self._address = None
-
-    async def serve_forever(self, address: str) -> None:
-        """Run until cancelled (the CLI entry point)."""
-        server = await self.start(address)
-        try:
-            async with server:
-                await server.serve_forever()
-        finally:
-            await self.aclose()
 
     def metrics_snapshot(self) -> Dict[str, object]:
         """This daemon's full metric view: the process-wide substrate
@@ -297,7 +215,7 @@ class ReproService:
         counters: Dict[str, object] = dict(self._session.stats())
         counters["stats_version"] = 2
         counters["protocol"] = PROTOCOL_VERSION
-        counters["connections"] = self._connections
+        counters["connections"] = len(self._live)
         counters["served_connections"] = self._served_connections
         counters["states"] = dict(self._session.status())
         counters["quotas"] = {
@@ -316,145 +234,58 @@ class ReproService:
 
     # -- one connection -----------------------------------------------------------
 
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self._connections += 1
-        self._served_connections += 1
+    def _connect(self, writer: asyncio.StreamWriter) -> _Client:
         self._connections_total.inc()
         # The connection's client identity: stable for its lifetime and
         # unique for the daemon's (the obs label and quota key).
         client = f"c{self._served_connections}"
         account = self._accounts.setdefault(client, ClientAccount(client))
         self._live_clients.add(client)
-        task = asyncio.current_task()
-        if task is not None:
-            self._conn_tasks.add(task)
-        self._conn_writers.add(writer)
-        write_lock = asyncio.Lock()
-        # id -> final state once the pump delivered a result (None while
-        # in flight); the honest answer for a late cancel of a request
-        # whose session handle was already forgotten.
-        owned: Dict[int, Optional[str]] = {}
-        self._owned_of[client] = owned
-        pumps: Set[asyncio.Task] = set()
+        conn = _Client(writer, account)
+        self._owned_of[client] = conn.owned
+        return conn
 
-        async def send(frame: Dict[str, object]) -> None:
-            async with write_lock:
-                writer.write(encode_frame(frame))
-                await writer.drain()
+    def _disconnect(self, conn: _Client) -> None:
+        # Cooperative cleanup: work nobody is listening for is work
+        # stolen from connected clients.
+        for request_id in conn.owned:
+            handle = self._session.handle(request_id)
+            if handle is not None and not handle.ticket.terminal:
+                handle.cancel()
+        for pump in list(conn.tasks):
+            pump.cancel()
+        # The pumps normally forget() after their result frame; the
+        # ones just cancelled never will, so drop this connection's
+        # terminal requests here (cancel() above is synchronous, so
+        # cancelled requests are terminal already — non-terminal ones
+        # still have jobs in flight and are forgotten by forget()'s
+        # own terminal guard once the scheduler releases them).
+        for request_id in conn.owned:
+            self._session.forget(request_id)
+        # Account hygiene: idle connections leave no record; active
+        # ones keep theirs for the stats frame, bounded so an
+        # unbounded connection stream cannot grow the daemon forever.
+        account = conn.account
+        self._live_clients.discard(account.client)
+        if account.submitted == 0 and account.rejected == 0:
+            self._accounts.pop(account.client, None)
+            self._owned_of.pop(account.client, None)
+        else:
+            self._prune_accounts()
 
-        frames = FrameReader(reader, limit=self._line_limit)
-        try:
-            await send(
-                {"type": "hello", "v": PROTOCOL_VERSION, "server": "repro-service"}
-            )
-            while True:
-                try:
-                    line = await frames.readline()
-                except FrameTooLarge as exc:
-                    # The oversized line was discarded in full — the stream
-                    # is positioned at the next frame, so the "malformed
-                    # frames get one-line error replies" contract holds
-                    # here too (tagged when the tag could be recovered).
-                    await send(
-                        self._tagged(
-                            {
-                                "type": "error",
-                                "v": PROTOCOL_VERSION,
-                                "error": str(exc),
-                            },
-                            exc.tag,
-                        )
-                    )
-                    continue
-                if not line:
-                    break
-                await self._handle_frame(line, send, owned, pumps, account)
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        finally:
-            self._connections -= 1
-            if task is not None:
-                self._conn_tasks.discard(task)
-            self._conn_writers.discard(writer)
-            # Cooperative cleanup: work nobody is listening for is work
-            # stolen from connected clients.
-            for request_id in owned:
-                handle = self._session.handle(request_id)
-                if handle is not None and not handle.ticket.terminal:
-                    handle.cancel()
-            # repro: allow[DET-SET-ITER] cancellation order of dead pumps is irrelevant; tasks are unsortable and no result depends on it
-            for pump in pumps:
-                pump.cancel()
-            # The pumps normally forget() after their result frame; the
-            # ones just cancelled never will, so drop this connection's
-            # terminal requests here (cancel() above is synchronous, so
-            # cancelled requests are terminal already — non-terminal ones
-            # still have jobs in flight and are forgotten by forget()'s
-            # own terminal guard once the scheduler releases them).
-            for request_id in owned:
-                self._session.forget(request_id)
-            # Account hygiene: idle connections leave no record; active
-            # ones keep theirs for the stats frame, bounded so an
-            # unbounded connection stream cannot grow the daemon forever.
-            self._live_clients.discard(client)
-            if account.submitted == 0 and account.rejected == 0:
-                self._accounts.pop(client, None)
-                self._owned_of.pop(client, None)
-            else:
-                self._prune_accounts()
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
-                pass
+    async def _handle_frame(self, conn: _Client, frame_type: str, frame, tag) -> None:
+        self._frames_total.inc(type=frame_type)
+        await super()._handle_frame(conn, frame_type, frame, tag)
 
-    async def _handle_frame(self, line, send, owned, pumps, account) -> None:
-        tag = None
-        try:
-            frame = decode_frame(line)
-            tag = frame.get("tag")
-            frame_type = check_client_frame(frame)
-            self._frames_total.inc(type=frame_type)
-            if frame_type == "ping":
-                await send(self._tagged({"type": "pong", "v": PROTOCOL_VERSION}, tag))
-            elif frame_type == "stats":
-                await send(
-                    self._tagged(
-                        {
-                            "type": "stats",
-                            "v": PROTOCOL_VERSION,
-                            "stats": self.stats(),
-                        },
-                        tag,
-                    )
-                )
-            elif frame_type == "cancel":
-                await self._handle_cancel(frame, send, owned, tag)
-            else:  # submit
-                await self._handle_submit(frame, send, owned, pumps, tag, account)
-        except ReproError as exc:
-            # ProtocolError (malformed/mismatched frames) and request
-            # validation errors alike: one line back, connection lives on.
-            # Recoverable rejections carry a machine-readable "code" (a
-            # Backpressure reply means "retry later", not "broken frame").
-            code = getattr(exc, "code", None)
-            self._errors_total.inc()
-            if isinstance(exc, Backpressure):
-                account.rejected += 1
-                self._backpressure_total.inc(quota=exc.quota or "unknown")
-            await send(
-                self._tagged(
-                    {
-                        "type": "error",
-                        "v": PROTOCOL_VERSION,
-                        "error": str(exc),
-                        **({} if code is None else {"code": code}),
-                    },
-                    tag,
-                )
-            )
+    async def _stats_payload(self) -> Dict[str, object]:
+        return self.stats()
+
+    async def _reply_error(self, conn: _Client, exc: ReproError, tag) -> None:
+        self._errors_total.inc()
+        if isinstance(exc, Backpressure):
+            conn.account.rejected += 1
+            self._backpressure_total.inc(quota=exc.quota or "unknown")
+        await super()._reply_error(conn, exc, tag)
 
     #: Disconnected-client accounts retained for the stats frame.
     _MAX_RETAINED_ACCOUNTS = 1024
@@ -471,19 +302,14 @@ class ReproService:
             if len(self._accounts) <= self._MAX_RETAINED_ACCOUNTS:
                 return
 
-    @staticmethod
-    def _tagged(frame: Dict[str, object], tag) -> Dict[str, object]:
-        if tag is not None:
-            frame["tag"] = tag
-        return frame
-
-    async def _handle_submit(self, frame, send, owned, pumps, tag, account) -> None:
+    async def _handle_submit(self, conn: _Client, frame, tag) -> None:
         # Admission FIRST, before any decode or planning: a rejected
         # submit must leave zero trace in the session/scheduler, so the
         # surviving requests' execution (and fingerprints) are exactly
         # what they would have been had the rejected frame never arrived.
+        account = conn.account
         self.quota.admit(
-            account.client, self._inflight_of(owned), self._pending_total()
+            account.client, self._inflight_of(conn.owned), self._pending_total()
         )
         # Cache-write budget: an exhausted client still runs (results are
         # cache-independent by construction) but without the persistent
@@ -500,9 +326,9 @@ class ReproService:
             None, decode_request, frame.get("request"), cache_policy
         )
         handle = await loop.run_in_executor(None, self._session.submit, request)
-        owned[handle.id] = None
+        conn.owned[handle.id] = None
         account.submitted += 1
-        await send(
+        await conn.send(
             self._tagged(
                 {
                     "type": "event",
@@ -514,15 +340,11 @@ class ReproService:
                 tag,
             )
         )
-        pump = asyncio.ensure_future(
-            self._pump_request(handle, send, owned, account)
-        )
-        pumps.add(pump)
-        pump.add_done_callback(pumps.discard)
+        conn.spawn(self._pump_request(handle, conn))
 
-    async def _handle_cancel(self, frame, send, owned, tag) -> None:
+    async def _handle_cancel(self, conn: _Client, frame, tag) -> None:
         request_id = frame.get("id")
-        if not isinstance(request_id, int) or request_id not in owned:
+        if not isinstance(request_id, int) or request_id not in conn.owned:
             raise ProtocolError(
                 f"cancel: unknown request id {request_id!r} for this connection"
             )
@@ -534,8 +356,8 @@ class ReproService:
             # Already finished and forgotten: report the real terminal
             # state the pump delivered, never a fictitious "cancelled".
             cancelled = False
-            state = owned.get(request_id) or "done"
-        await send(
+            state = conn.owned.get(request_id) or "done"
+        await conn.send(
             self._tagged(
                 {
                     "type": "event",
@@ -548,14 +370,13 @@ class ReproService:
             )
         )
 
-    async def _pump_request(
-        self, handle: AsyncRequestHandle, send, owned, account
-    ) -> None:
+    async def _pump_request(self, handle: AsyncRequestHandle, conn: _Client) -> None:
         """Relay one request's lifecycle to its connection, then forget it."""
+        account = conn.account
         try:
             async for event in handle.events():
                 if event["type"] == "record":
-                    await send(
+                    await conn.send(
                         {
                             "type": "event",
                             "v": PROTOCOL_VERSION,
@@ -567,7 +388,7 @@ class ReproService:
                     continue
                 state = event["state"]
                 if state not in TERMINAL_STATES:
-                    await send(
+                    await conn.send(
                         {
                             "type": "event",
                             "v": PROTOCOL_VERSION,
@@ -592,8 +413,8 @@ class ReproService:
                         account.persistent_saved += saved
                 elif handle.error:
                     result["error"] = handle.error
-                owned[handle.id] = state
-                await send(result)
+                conn.owned[handle.id] = state
+                await conn.send(result)
                 # The span closes when the result frame is flushed: its
                 # "replied" mark and per-phase durations land in this
                 # daemon's registry, labelled by client.
@@ -603,7 +424,7 @@ class ReproService:
             pass
 
 
-class ServiceThread:
+class ServiceThread(ServerThread):
     """A daemon embedded in this process, on its own event-loop thread.
 
     The test suite, the examples and notebooks use this to get a real
@@ -622,59 +443,5 @@ class ServiceThread:
 
     def __init__(self, address: str, **service_kwargs) -> None:
         service_kwargs.setdefault("backend", "thread")
-        self.address = address
         self.service = ReproService(**service_kwargs)
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._stop: Optional[asyncio.Event] = None
-        self._started = threading.Event()
-        self._startup_error: Optional[BaseException] = None
-        self._thread = threading.Thread(
-            target=self._run, name="repro-service", daemon=True
-        )
-
-    def __enter__(self) -> "ServiceThread":
-        self.start()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.stop()
-
-    @property
-    def socket_path(self) -> str:
-        """Backwards-compatible alias of :attr:`address`."""
-        return self.address
-
-    def start(self) -> "ServiceThread":
-        self._thread.start()
-        self._started.wait()
-        if self._startup_error is not None:
-            raise ServiceError(
-                f"service failed to start: {self._startup_error}"
-            ) from self._startup_error
-        return self
-
-    def stop(self) -> None:
-        if self._loop is not None and self._thread.is_alive():
-            self._loop.call_soon_threadsafe(self._stop.set)
-            self._thread.join(timeout=30)
-
-    def _run(self) -> None:
-        asyncio.run(self._main())
-
-    async def _main(self) -> None:
-        self._loop = asyncio.get_running_loop()
-        self._stop = asyncio.Event()
-        try:
-            await self.service.start(self.address)
-        except BaseException as exc:  # noqa: BLE001 - relayed to start()
-            self._startup_error = exc
-            self._started.set()
-            return
-        # Publish the *resolved* address (TCP port 0 → the kernel's pick)
-        # before start() returns in the launching thread.
-        self.address = self.service.address
-        self._started.set()
-        try:
-            await self._stop.wait()
-        finally:
-            await self.service.aclose()
+        super().__init__(address, self.service)

@@ -48,26 +48,23 @@ from __future__ import annotations
 import asyncio
 import bisect
 import hashlib
-import os
-import threading
 from collections import Counter
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.aig.function import BooleanFunction
 from repro.aig.signature import canonical_cone_signature
-from repro.errors import FrameTooLarge, ProtocolError, ReproError, ServiceError
+from repro.errors import ProtocolError, ReproError, ServiceError
 from repro.obs.registry import SNAPSHOT_VERSION, merge_snapshots
-from repro.service.daemon import open_listener
 from repro.service.protocol import (
     PROTOCOL_VERSION,
     WIRE_LINE_LIMIT,
     FrameReader,
-    check_client_frame,
     decode_circuit,
     decode_frame,
     encode_frame,
     parse_address,
 )
+from repro.service.server import Connection, FrameServer, ServerThread
 
 #: Virtual points per shard on the hash ring.  Enough that removing one
 #: shard spreads its keyspace over every survivor instead of dumping it
@@ -300,34 +297,13 @@ class _PendingRequest:
         self.final_state: Optional[str] = None
 
 
-class _ClientConnection:
-    """One client of the router: a writer, its lock, its requests."""
-
-    def __init__(self, writer: asyncio.StreamWriter) -> None:
-        self._writer = writer
-        self._lock = asyncio.Lock()
-        #: router-global id -> _PendingRequest (kept after completion so
-        #: a late cancel gets the honest terminal state, like the daemon).
-        self.owned: Dict[int, _PendingRequest] = {}
-
-    async def send(self, frame: Dict[str, object]) -> None:
-        async with self._lock:
-            self._writer.write(encode_frame(frame))
-            await self._writer.drain()
-
-    async def push(self, frame: Dict[str, object]) -> None:
-        """A server-initiated frame: a vanished client is not an error."""
-        try:
-            await self.send(frame)
-        except (ConnectionResetError, BrokenPipeError, OSError):
-            pass
-
-
 # -- the router -----------------------------------------------------------------
 
 
-class ReproRouter:
+class ReproRouter(FrameServer):
     """The consistent-hash front door over N ``step serve`` shards."""
+
+    role = "router"
 
     def __init__(
         self,
@@ -342,7 +318,7 @@ class ReproRouter:
             raise ServiceError("a router needs at least one shard address")
         if len(set(shards)) != len(shards):
             raise ServiceError(f"duplicate shard addresses in {list(shards)!r}")
-        self.line_limit = line_limit
+        super().__init__(line_limit)
         self._links: Dict[str, _ShardLink] = {
             address: _ShardLink(self, address) for address in shards
         }
@@ -350,25 +326,9 @@ class ReproRouter:
         self._max_attempts = max_attempts
         self._probe_interval = probe_interval
         self._stats_timeout = stats_timeout
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._address: Optional[str] = None
-        self._socket_path: Optional[str] = None
         self._probe_task: Optional[asyncio.Task] = None
-        self._conn_tasks: Set[asyncio.Task] = set()
-        self._conn_writers: Set[asyncio.StreamWriter] = set()
         self._next_global_id = 0
-        self._counters = {
-            "routed": 0,
-            "failovers": 0,
-            "results": 0,
-            "connections": 0,
-            "served_connections": 0,
-        }
-
-    @property
-    def address(self) -> Optional[str]:
-        """The bound client-facing address (resolved for TCP port 0)."""
-        return self._address
+        self._counters = {"routed": 0, "failovers": 0, "results": 0}
 
     @property
     def shards(self) -> List[str]:
@@ -387,10 +347,10 @@ class ReproRouter:
         Shards that are down at start are tolerated (the probe re-admits
         them) as long as at least one is reachable.
         """
-        if self._server is not None:
-            raise ServiceError("the router is already serving")
         failures = []
         for link in self._links.values():
+            if link.up:
+                continue
             try:
                 await link.connect()
             except (OSError, ReproError) as exc:
@@ -400,46 +360,17 @@ class ReproRouter:
                 "none of the configured shards is reachable — "
                 + "; ".join(failures)
             )
-        self._server, self._address, self._socket_path = await open_listener(
-            self._handle_connection, listen_address
-        )
+        server = await super().start(listen_address)
         self._probe_task = asyncio.ensure_future(self._probe_loop())
-        return self._server
+        return server
 
     async def aclose(self) -> None:
         if self._probe_task is not None:
             self._probe_task.cancel()
             self._probe_task = None
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        # EOF still-connected clients so their handlers run their own
-        # cleanup and exit, instead of being cancelled (noisily) at
-        # event-loop teardown.
-        # repro: allow[DET-SET-ITER] shutdown close order is irrelevant and StreamWriters are unsortable; nothing downstream observes it
-        for conn_writer in list(self._conn_writers):
-            conn_writer.close()
-        if self._conn_tasks:
-            await asyncio.wait(self._conn_tasks, timeout=5)
+        await super().aclose()
         for link in self._links.values():
             await link.close()
-        if self._socket_path is not None:
-            try:
-                os.unlink(self._socket_path)
-            except OSError:
-                pass
-            self._socket_path = None
-        self._address = None
-
-    async def serve_forever(self, listen_address: str) -> None:
-        """Run until cancelled (the CLI entry point)."""
-        server = await self.start(listen_address)
-        try:
-            async with server:
-                await server.serve_forever()
-        finally:
-            await self.aclose()
 
     # -- the ring -----------------------------------------------------------------
 
@@ -468,66 +399,18 @@ class ReproRouter:
 
     # -- client connections -------------------------------------------------------
 
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self._counters["connections"] += 1
-        self._counters["served_connections"] += 1
-        task = asyncio.current_task()
-        if task is not None:
-            self._conn_tasks.add(task)
-        self._conn_writers.add(writer)
-        conn = _ClientConnection(writer)
-        frames = FrameReader(reader, limit=self.line_limit)
-        tasks: List[asyncio.Task] = []
-        try:
-            await conn.send(
-                {"type": "hello", "v": PROTOCOL_VERSION, "server": "repro-router"}
-            )
-            while True:
-                try:
-                    line = await frames.readline()
-                except FrameTooLarge as exc:
-                    await conn.send(
-                        self._tagged(
-                            {
-                                "type": "error",
-                                "v": PROTOCOL_VERSION,
-                                "error": str(exc),
-                            },
-                            exc.tag,
-                        )
-                    )
-                    continue
-                if not line:
-                    break
-                task = await self._handle_frame(conn, line)
-                if task is not None:
-                    tasks.append(task)
-                    tasks = [t for t in tasks if not t.done()]
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        finally:
-            self._counters["connections"] -= 1
-            if task is not None:
-                self._conn_tasks.discard(task)
-            self._conn_writers.discard(writer)
-            # A vanished client's work must not hold shard workers: relay
-            # a cancel for everything still in flight and stop relaying.
-            for pending in conn.owned.values():
-                if pending.done:
-                    continue
-                pending.cancel_requested = True
-                link, local_id = pending.shard, pending.local_id
-                if link is not None and local_id is not None:
-                    link.routes.pop(local_id, None)
-                    asyncio.ensure_future(self._cancel_on_shard(link, local_id))
-            conn.owned.clear()
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError, OSError):
-                pass
+    def _disconnect(self, conn: Connection) -> None:
+        # A vanished client's work must not hold shard workers: relay a
+        # cancel for everything still in flight and stop relaying.
+        for pending in conn.owned.values():
+            if pending.done:
+                continue
+            pending.cancel_requested = True
+            link, local_id = pending.shard, pending.local_id
+            if link is not None and local_id is not None:
+                link.routes.pop(local_id, None)
+                conn.spawn(self._cancel_on_shard(link, local_id))
+        conn.owned.clear()
 
     async def _cancel_on_shard(self, link: _ShardLink, local_id: int) -> None:
         try:
@@ -537,44 +420,9 @@ class ReproRouter:
         except (OSError, ReproError):
             pass  # the shard is gone; nothing left to cancel
 
-    @staticmethod
-    def _tagged(frame: Dict[str, object], tag) -> Dict[str, object]:
-        if tag is not None:
-            frame["tag"] = tag
-        return frame
-
-    async def _handle_frame(
-        self, conn: _ClientConnection, line: bytes
-    ) -> Optional[asyncio.Task]:
-        tag = None
-        try:
-            frame = decode_frame(line)
-            tag = frame.get("tag")
-            frame_type = check_client_frame(frame)
-            if frame_type == "ping":
-                await conn.send(
-                    self._tagged({"type": "pong", "v": PROTOCOL_VERSION}, tag)
-                )
-            elif frame_type == "stats":
-                await self._handle_stats(conn, tag)
-            elif frame_type == "cancel":
-                await self._handle_cancel(conn, frame, tag)
-            else:  # submit
-                return await self._handle_submit(conn, frame, tag)
-        except ReproError as exc:
-            await conn.send(
-                self._tagged(
-                    {"type": "error", "v": PROTOCOL_VERSION, "error": str(exc)},
-                    tag,
-                )
-            )
-        return None
-
     # -- submit / dispatch / failover ---------------------------------------------
 
-    async def _handle_submit(
-        self, conn: _ClientConnection, frame: dict, tag
-    ) -> asyncio.Task:
+    async def _handle_submit(self, conn: Connection, frame: dict, tag) -> None:
         # Decoding the circuit and hashing every output cone is CPU work:
         # run it off-loop so one client's monster circuit never stalls
         # other connections' frames (mirrors the daemon's submit path).
@@ -601,7 +449,7 @@ class ReproRouter:
                 tag,
             )
         )
-        return asyncio.ensure_future(self._dispatch(pending))
+        conn.spawn(self._dispatch(pending))
 
     async def _dispatch(self, pending: _PendingRequest) -> None:
         """Bind the request to a shard; walk the ring on shard failure."""
@@ -669,7 +517,7 @@ class ReproRouter:
                 # terminal result.
                 if pending.local_id is not None:
                     link.routes.pop(pending.local_id, None)
-                    asyncio.ensure_future(
+                    pending.connection.spawn(
                         self._cancel_on_shard(link, pending.local_id)
                     )
                 await self._finish(pending, "cancelled")
@@ -720,7 +568,7 @@ class ReproRouter:
             pending.local_id = None
             pending.last_error = f"shard {link.address} disconnected: {exc}"
             self._counters["failovers"] += 1
-            asyncio.ensure_future(self._dispatch(pending))
+            pending.connection.spawn(self._dispatch(pending))
 
     # -- relay / cancel / stats ---------------------------------------------------
 
@@ -747,14 +595,14 @@ class ReproRouter:
                     "shutting down"
                 )
                 self._counters["failovers"] += 1
-                asyncio.ensure_future(self._dispatch(pending))
+                pending.connection.spawn(self._dispatch(pending))
                 return
             pending.done = True
             pending.final_state = state
             self._counters["results"] += 1
         await pending.connection.push(out)
 
-    async def _handle_cancel(self, conn: _ClientConnection, frame: dict, tag) -> None:
+    async def _handle_cancel(self, conn: Connection, frame: dict, tag) -> None:
         global_id = frame.get("id")
         pending = (
             conn.owned.get(global_id) if isinstance(global_id, int) else None
@@ -835,6 +683,13 @@ class ReproRouter:
             )
         )
 
+    def _router_counters(self) -> Dict[str, int]:
+        return {
+            **self._counters,
+            "connections": len(self._live),
+            "served_connections": self._served_connections,
+        }
+
     def _own_snapshot(self) -> Dict[str, object]:
         """The router's counters in metric-snapshot form, so they merge
         with (and render like) the shards' ``obs`` payloads."""
@@ -845,7 +700,7 @@ class ReproRouter:
                     "help": f"router {name}",
                     "values": {"": value},
                 }
-                for name, value in sorted(self._counters.items())
+                for name, value in sorted(self._router_counters().items())
             },
             "gauges": {
                 "repro_router_shards_up": {
@@ -862,7 +717,7 @@ class ReproRouter:
     # (versions are identities, not quantities).
     _NO_AGGREGATE = frozenset({"protocol", "stats_version"})
 
-    async def _handle_stats(self, conn: _ClientConnection, tag) -> None:
+    async def _stats_payload(self) -> Dict[str, object]:
         aggregate: Dict[str, object] = {}
         shards: Dict[str, object] = {}
         obs_snapshots: List[Dict[str, object]] = [self._own_snapshot()]
@@ -911,7 +766,7 @@ class ReproRouter:
         stats_frame["stats_version"] = 2
         stats_frame["protocol"] = PROTOCOL_VERSION
         stats_frame["router"] = {
-            **self._counters,
+            **self._router_counters(),
             "shards_up": sum(link.up for link in self._links.values()),
             "shards_down": sum(not link.up for link in self._links.values()),
         }
@@ -921,15 +776,10 @@ class ReproRouter:
         # Per-shard quota configuration, keyed by address: a fleet does
         # not have one quota, each shard enforces its own.
         stats_frame["quotas"] = quotas
-        await conn.send(
-            self._tagged(
-                {"type": "stats", "v": PROTOCOL_VERSION, "stats": stats_frame},
-                tag,
-            )
-        )
+        return stats_frame
 
 
-class RouterThread:
+class RouterThread(ServerThread):
     """A router embedded in this process, on its own event-loop thread.
 
     The sibling of :class:`repro.service.daemon.ServiceThread` — tests
@@ -945,52 +795,5 @@ class RouterThread:
     def __init__(
         self, listen_address: str, shards: Sequence[str], **router_kwargs
     ) -> None:
-        self.address = listen_address
         self.router = ReproRouter(shards, **router_kwargs)
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._stop: Optional[asyncio.Event] = None
-        self._started = threading.Event()
-        self._startup_error: Optional[BaseException] = None
-        self._thread = threading.Thread(
-            target=self._run, name="repro-router", daemon=True
-        )
-
-    def __enter__(self) -> "RouterThread":
-        self.start()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.stop()
-
-    def start(self) -> "RouterThread":
-        self._thread.start()
-        self._started.wait()
-        if self._startup_error is not None:
-            raise ServiceError(
-                f"router failed to start: {self._startup_error}"
-            ) from self._startup_error
-        return self
-
-    def stop(self) -> None:
-        if self._loop is not None and self._thread.is_alive():
-            self._loop.call_soon_threadsafe(self._stop.set)
-            self._thread.join(timeout=30)
-
-    def _run(self) -> None:
-        asyncio.run(self._main())
-
-    async def _main(self) -> None:
-        self._loop = asyncio.get_running_loop()
-        self._stop = asyncio.Event()
-        try:
-            await self.router.start(self.address)
-        except BaseException as exc:  # noqa: BLE001 - relayed to start()
-            self._startup_error = exc
-            self._started.set()
-            return
-        self.address = self.router.address
-        self._started.set()
-        try:
-            await self._stop.wait()
-        finally:
-            await self.router.aclose()
+        super().__init__(listen_address, self.router)

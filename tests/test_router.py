@@ -185,6 +185,33 @@ class TestRouterRoundTrip:
             assert client.ping()
 
 
+class TestRouterConnections:
+    def test_disconnected_clients_leave_no_tracked_handler(self, front):
+        """Regression: the router kept the finished handler task of
+        every client that ever connected."""
+        for _ in range(5):
+            with ServiceClient(front.address) as client:
+                assert client.ping()
+        assert wait_until(lambda: not front.router._live)
+
+    def test_stopping_a_router_spares_the_socket_a_newer_one_bound(
+        self, shard_pair, tmp_path
+    ):
+        """Regression: stopping a router unlinked its Unix path even
+        after a second router had re-bound it, cutting the second one
+        off from every new client."""
+        path = str(tmp_path / "router.sock")
+        shards = [shard.address for shard in shard_pair]
+        first = RouterThread(path, shards).start()
+        try:
+            with RouterThread(path, shards) as second:
+                first.stop()
+                with ServiceClient(second.address) as client:
+                    assert client.ping()
+        finally:
+            first.stop()
+
+
 class TestFailover:
     def test_shard_death_fails_work_over_and_report_is_identical(
         self, shard_pair, front

@@ -13,6 +13,7 @@ The contracts under test:
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import threading
@@ -36,7 +37,12 @@ from repro.circuits.generators import (
 from repro.core.result import BiDecResult
 from repro.core.spec import ENGINE_STEP_MG, ENGINE_STEP_QD
 from repro.errors import ProtocolError, ReproError, ServiceError
-from repro.service import PROTOCOL_VERSION, ServiceClient, ServiceThread
+from repro.service import (
+    PROTOCOL_VERSION,
+    RouterThread,
+    ServiceClient,
+    ServiceThread,
+)
 from repro.service.protocol import (
     decode_circuit,
     decode_report,
@@ -269,7 +275,8 @@ class TestDaemonRoundTrip:
         assert cold.schedule["persistent_saved"] >= 1
         assert warm.schedule["persistent_hits"] >= 1
         assert warm.fingerprint() == cold.fingerprint()
-        snapshot = json.load(open(os.path.join(cache_dir, "cone_cache.json")))
+        with open(os.path.join(cache_dir, "cone_cache.json")) as handle:
+            snapshot = json.load(handle)
         assert sum(len(v) for v in snapshot["contexts"].values()) >= 1
 
 
@@ -363,16 +370,23 @@ class TestProtocolErrors:
                 assert "\n" not in frame["error"]
             assert client.ping()  # connection still healthy
 
+    @pytest.mark.parametrize("front", ["daemon", "router"])
     def test_oversized_frame_gets_tagged_error_and_connection_survives(
-        self, socket_path
+        self, socket_path, front
     ):
         """Regression: a frame past the line limit used to kill the
         connection; now it is discarded, answered (with the sniffed tag)
-        and the stream keeps framing correctly."""
-        with ServiceThread(
-            socket_path, jobs=1, backend="serial", line_limit=2048
-        ) as service:
-            with ServiceClient(service.socket_path) as client:
+        and the stream keeps framing correctly — on a daemon and on a
+        router alike."""
+        with contextlib.ExitStack() as stack:
+            server = stack.enter_context(
+                ServiceThread(socket_path, jobs=1, backend="serial", line_limit=2048)
+            )
+            if front == "router":
+                server = stack.enter_context(
+                    RouterThread("127.0.0.1:0", [socket_path], line_limit=2048)
+                )
+            with ServiceClient(server.address) as client:
                 huge = {
                     "v": PROTOCOL_VERSION,
                     "type": "ping",
@@ -389,6 +403,13 @@ class TestProtocolErrors:
                 # The oversized line is gone *through its newline*: the
                 # connection keeps serving framed traffic.
                 assert client.ping()
+                if front == "daemon":
+                    # The reply is an error frame like any other, so the
+                    # daemon counts it.
+                    errors = client.stats()["obs"]["counters"][
+                        "repro_service_errors_total"
+                    ]
+                    assert errors["values"] == {"": 1}
 
     def test_cancel_of_foreign_id_rejected(self, daemon):
         with ServiceClient(daemon.socket_path) as client:
@@ -471,7 +492,8 @@ class TestServiceThreadLifecycle:
             handle.write("precious user data")
         with pytest.raises(ServiceError, match="not a socket"):
             ServiceThread(socket_path, jobs=1, backend="serial").start()
-        assert open(socket_path).read() == "precious user data"
+        with open(socket_path) as handle:
+            assert handle.read() == "precious user data"
 
     def test_disconnect_cancels_unfinished_requests(self, daemon):
         release = threading.Event()
